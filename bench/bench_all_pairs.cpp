@@ -1,5 +1,5 @@
-// Multi-source / all-pairs serving throughput: the AllPairsEngine's tiled,
-// pooled row computation against the naive per-source loop (one
+// Multi-source / all-pairs serving throughput: QueryEngine::ForEachRow's
+// tiled, pooled row computation against the naive per-source loop (one
 // SingleSourceSimRankStarGeometric call per source, rebuilding the
 // snapshot every time — the only way to get these rows before the engine
 // existed). Sweeps tile size × worker count; the acceptance bar is ≥2×
@@ -17,7 +17,7 @@
 #include "srs/common/table_printer.h"
 #include "srs/core/single_source.h"
 #include "srs/datasets/datasets.h"
-#include "srs/engine/all_pairs_engine.h"
+#include "srs/engine/query_engine.h"
 #include "srs/engine/result_cache.h"
 
 #include "bench_util.h"
@@ -39,8 +39,9 @@ int main(int argc, char** argv) {
     sources.push_back(static_cast<NodeId>(v));
   }
 
-  std::printf("AllPairsEngine on a CitPatent-like graph (|V|=%lld, "
-              "|E|=%lld), gsr-star K=5, %zu sources, %d hardware threads\n",
+  std::printf("QueryEngine::ForEachRow on a CitPatent-like graph "
+              "(|V|=%lld, |E|=%lld), gsr-star K=5, %zu sources, %d hardware "
+              "threads\n",
               static_cast<long long>(g.NumNodes()),
               static_cast<long long>(g.NumEdges()), sources.size(),
               HardwareThreads());
@@ -72,11 +73,11 @@ int main(int argc, char** argv) {
       {"tile", "threads", "sec", "rows/s", "vs naive", "checksum"});
   for (int tile : {8, 32, 128}) {
     for (int threads : {1, 2, 4, 8}) {
-      AllPairsOptions opts;
+      QueryEngineOptions opts;
       opts.similarity = sim;
       opts.num_threads = threads;
       opts.tile_size = tile;
-      AllPairsEngine engine = AllPairsEngine::Create(g, opts).MoveValueOrDie();
+      QueryEngine engine = QueryEngine::Create(g, opts).MoveValueOrDie();
       double checksum = 0.0;
       // Warm-up sizes the tile buffers and workspaces; the timed run then
       // measures the allocation-free steady state.
@@ -112,12 +113,12 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader("result cache: repeated sweep over the same sources");
   auto cache = std::make_shared<ResultCache>();
-  AllPairsOptions opts;
+  QueryEngineOptions opts;
   opts.similarity = sim;
   opts.num_threads = 8;
   opts.tile_size = 32;
   opts.result_cache = cache;
-  AllPairsEngine engine = AllPairsEngine::Create(g, opts).MoveValueOrDie();
+  QueryEngine engine = QueryEngine::Create(g, opts).MoveValueOrDie();
   TablePrinter cache_table({"pass", "sec", "rows/s"});
   for (int pass = 1; pass <= 3; ++pass) {
     const double sec = bench::TimeSeconds([&] {

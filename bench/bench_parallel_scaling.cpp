@@ -65,11 +65,12 @@ int main(int argc, char** argv) {
     qopts.similarity.iterations = 10;
     qopts.num_threads = threads;
     QueryEngine engine = QueryEngine::Create(g, qopts).MoveValueOrDie();
-    engine.BatchTopK(QueryMeasure::kSimRankStarGeometric, batch, 10)
-        .ValueOrDie();  // warm-up: size the per-worker workspaces
+    // Warm-up: size the per-worker workspaces.
+    bench::RankFullRows(engine, QueryMeasure::kSimRankStarGeometric, batch,
+                        10);
     const double t_batch = bench::TimeSeconds([&] {
-      engine.BatchTopK(QueryMeasure::kSimRankStarGeometric, batch, 10)
-          .ValueOrDie();
+      bench::RankFullRows(engine, QueryMeasure::kSimRankStarGeometric, batch,
+                          10);
     });
     query_table.AddRow({TablePrinter::Fmt(static_cast<int64_t>(threads)),
                         TablePrinter::Fmt(t_batch, 3),

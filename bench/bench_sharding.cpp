@@ -1,6 +1,6 @@
 // Scatter/gather sharding shootout: single-source serving through the
 // ShardCoordinator swept across shard counts, against the unsharded
-// QueryEngine / TopKEngine baselines on the same snapshot. Two shapes per
+// QueryEngine baselines on the same snapshot. Two shapes per
 // configuration: full score rows (per-level fan-out across the shard
 // slices) and top-k (the engine's branch-and-bound loop plus the aged
 // shard-level prunes, whose per-shard fire counts are reported next to
@@ -121,12 +121,12 @@ int Run(const bench::BenchArgs& args) {
           [&] { base_rows = engine.BatchScores(measure, batch).ValueOrDie(); });
 
       // --- Top-k -------------------------------------------------------
-      TopKEngineOptions topts;
+      QueryEngineOptions topts;
       topts.similarity = sim;
       topts.similarity.top_k = 10;
       topts.num_threads = threads;
       topts.snapshot_cache = &snapshots;
-      TopKEngine topk = TopKEngine::Create(g, topts).MoveValueOrDie();
+      QueryEngine topk = QueryEngine::Create(g, topts).MoveValueOrDie();
       auto base_topk = topk.BatchTopK(measure, batch).ValueOrDie();
       const double topk_base_sec = bench::TimeSeconds(
           [&] { base_topk = topk.BatchTopK(measure, batch).ValueOrDie(); });

@@ -1,6 +1,6 @@
-// Top-k engine shootout: bound-based early termination (TopKEngine) vs
-// full-row-then-sort (QueryEngine::BatchTopK), swept across k × graph
-// density × kernel backend. Uses an accuracy-driven iteration count
+// Top-k shootout: bound-based early termination (QueryEngine::BatchTopK)
+// vs full-row-then-sort (BatchScores ranked by TopKInto), swept across k ×
+// graph density × kernel backend. Uses an accuracy-driven iteration count
 // (epsilon = 1e-8 → K = 36 at C = 0.6, the accuracy a user demanding
 // exact rankings would configure): the a-priori bound is conservative,
 // while the a-posteriori separation test stops at a level set by the
@@ -130,10 +130,10 @@ int RunLargeTier(const bench::BenchArgs& args) {
     for (QueryMeasure measure : measures) {
       double reference_sec = 0.0;
       for (const LayoutConfig& layout : layouts) {
-        TopKEngineOptions opts;
+        QueryEngineOptions opts;
         opts.similarity = sim;
-        TopKEngine engine =
-            TopKEngine::Create(*layout.graph, opts).MoveValueOrDie();
+        QueryEngine engine =
+            QueryEngine::Create(*layout.graph, opts).MoveValueOrDie();
         std::vector<TopKResult> results;
         const auto run_batch = [&] {
           results = engine.BatchTopK(measure, *layout.batch).ValueOrDie();
@@ -242,18 +242,18 @@ int main(int argc, char** argv) {
         QueryEngineOptions full_opts;
         full_opts.similarity = backend_sim;
         QueryEngine full = QueryEngine::Create(g, full_opts).MoveValueOrDie();
-        full.BatchTopK(measure, batch, 10).ValueOrDie();  // warm-up sizing
+        bench::RankFullRows(full, measure, batch, 10);  // warm-up sizing
         const double full_sec = bench::TimeSeconds(
-            [&] { full.BatchTopK(measure, batch, 10).ValueOrDie(); });
+            [&] { bench::RankFullRows(full, measure, batch, 10); });
         const double full_ms = 1e3 * full_sec / batch.size();
 
         for (int k : ks) {
           if (k >= n) continue;
-          TopKEngineOptions topk_opts;
+          QueryEngineOptions topk_opts;
           topk_opts.similarity = backend_sim;
           topk_opts.similarity.top_k = k;
-          TopKEngine engine =
-              TopKEngine::Create(g, topk_opts).MoveValueOrDie();
+          QueryEngine engine =
+              QueryEngine::Create(g, topk_opts).MoveValueOrDie();
           engine.BatchTopK(measure, batch).ValueOrDie();  // warm-up sizing
           std::vector<TopKResult> results;
           const double topk_sec = bench::TimeSeconds([&] {

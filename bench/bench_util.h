@@ -8,8 +8,11 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "srs/common/timer.h"
+#include "srs/engine/query_engine.h"
+#include "srs/eval/ranking.h"
 
 namespace srs::bench {
 
@@ -163,6 +166,21 @@ inline double TimeSeconds(const std::function<void()>& fn) {
 
 inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
+}
+
+/// The full-row-then-rank baseline of the top-k harnesses: full rows of
+/// `batch` at full accuracy, each ranked top-`k` (query excluded) with the
+/// bounded heap of TopKInto.
+inline std::vector<std::vector<RankedNode>> RankFullRows(
+    QueryEngine& engine, QueryMeasure measure,
+    const std::vector<NodeId>& batch, size_t k) {
+  const std::vector<std::vector<double>> rows =
+      engine.BatchScores(measure, batch).ValueOrDie();
+  std::vector<std::vector<RankedNode>> rankings(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    TopKInto(rows[i], k, batch[i], &rankings[i]);
+  }
+  return rankings;
 }
 
 }  // namespace srs::bench

@@ -12,7 +12,7 @@
 #include "srs/core/memo_gsr_star.h"
 #include "srs/engine/result_cache.h"
 #include "srs/engine/service.h"
-#include "srs/engine/topk_engine.h"
+#include "srs/engine/query_engine.h"
 #include "srs/eval/ranking.h"
 #include "srs/graph/delta.h"
 #include "srs/graph/fixtures.h"
@@ -63,7 +63,7 @@ int main() {
   // One service owns the graph's version chain, a shared result cache, and
   // a small LRU of warm engines; one QueryRequest describes any
   // single-source workload. top_k >= 1 serves rankings through the
-  // early-terminating TopKEngine.
+  // QueryEngine's early-terminating BatchTopK.
   auto cache = std::make_shared<srs::ResultCache>();
   srs::SrsServiceOptions service_opts;
   service_opts.similarity = paper_opts;
@@ -88,7 +88,7 @@ int main() {
   }
 
   // --- 5. Full score rows, served from the shared result cache. -----------
-  // top_k == 0 serves whole rows (the QueryEngine underneath); a repeated
+  // top_k == 0 serves whole rows (QueryEngine::BatchScores); a repeated
   // request is answered from the cache without recomputation. StreamRows
   // does the same for tiled source sets up to full all-pairs.
   srs::QueryRequest rows_request;
@@ -103,24 +103,25 @@ int main() {
   std::printf("%s\n", cache->StatsString().c_str());
 
   // --- 6. Top-k with bound-based early termination. -----------------------
-  // The service's ranked path is the TopKEngine; driving it directly shows
-  // the mechanics. Each query's level recurrence stops as soon as the
-  // analytic residual bounds prove the top-k set and order — exact, while
-  // often evaluating a fraction of the levels the accuracy-driven K would
-  // run (the win grows with the accuracy demand; see bench_topk).
-  srs::TopKEngineOptions topk_opts;
-  topk_opts.similarity = paper_opts;
-  topk_opts.similarity.epsilon = 1e-8;  // accuracy-driven iteration count
-  topk_opts.similarity.iterations = 0;
-  topk_opts.similarity.top_k = 1;
-  srs::TopKEngine topk =
-      srs::TopKEngine::Create(fig1, topk_opts).MoveValueOrDie();
+  // The service's ranked path is QueryEngine::BatchTopK; driving the engine
+  // directly shows the mechanics. Each query's level recurrence stops as
+  // soon as the analytic residual bounds prove the top-k set and order —
+  // exact, while often evaluating a fraction of the levels the
+  // accuracy-driven K would run (the win grows with the accuracy demand;
+  // see bench_topk).
+  srs::QueryEngineOptions engine_opts;
+  engine_opts.similarity = paper_opts;
+  engine_opts.similarity.epsilon = 1e-8;  // accuracy-driven iteration count
+  engine_opts.similarity.iterations = 0;
+  engine_opts.similarity.top_k = 1;
+  srs::QueryEngine engine =
+      srs::QueryEngine::Create(fig1, engine_opts).MoveValueOrDie();
   const std::vector<srs::TopKResult> results =
-      topk.BatchTopK(srs::QueryMeasure::kSimRankStarGeometric, {h})
+      engine.BatchTopK(srs::QueryMeasure::kSimRankStarGeometric, {h})
           .ValueOrDie();
   std::printf(
-      "\nTopKEngine: '%s' is most similar to '%s' — settled after %d of %d "
-      "levels\n",
+      "\nQueryEngine::BatchTopK: '%s' is most similar to '%s' — settled "
+      "after %d of %d levels\n",
       fig1.LabelOf(h).c_str(),
       fig1.LabelOf(results[0].ranking[0].node).c_str(),
       results[0].levels_evaluated, results[0].levels_total);

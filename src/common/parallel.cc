@@ -94,7 +94,9 @@ void ThreadPool::ParallelForIndexed(
     const std::function<void(int64_t, int)>& item_fn) {
   SRS_CHECK_LE(begin, end);
   if (begin == end) return;
-  if (threads_.empty()) {
+  // One item (or one worker) runs inline on the caller as worker 0: waking
+  // the parked workers would only make them find the range already empty.
+  if (threads_.empty() || end - begin == 1) {
     for (int64_t i = begin; i < end; ++i) item_fn(i, 0);
     return;
   }

@@ -58,8 +58,9 @@ class ThreadPool {
 
   /// Invokes `item_fn(i, worker)` once for every i in [begin, end), blocking
   /// until all items are done. Items are claimed dynamically; `worker`
-  /// identifies the executing worker. Not reentrant and not thread-safe:
-  /// one dispatch at a time per pool.
+  /// identifies the executing worker. A one-item range runs inline on the
+  /// calling thread as worker 0 without waking the pool. Not reentrant and
+  /// not thread-safe: one dispatch at a time per pool.
   void ParallelForIndexed(int64_t begin, int64_t end,
                           const std::function<void(int64_t, int)>& item_fn);
 

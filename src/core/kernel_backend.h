@@ -3,7 +3,7 @@
 /// \file kernel_backend.h
 /// \brief Pluggable single-source kernel backends.
 ///
-/// The serving engines evaluate every query through one of two
+/// The serving engine evaluates every query through one of two
 /// interchangeable implementations of the level-vector recurrences:
 ///
 ///  * **dense** (`MakeDenseKernelBackend`) — the reference path, a thin
@@ -31,15 +31,15 @@
 /// kernels gather/scatter straight through — the dynamic-graph serving
 /// path of graph/versioned_graph.h never materializes a patched matrix.
 ///
-/// Workspaces are backend-owned: an engine asks its backend for one opaque
+/// Workspaces are backend-owned: the engine asks its backend for one opaque
 /// KernelWorkspace per worker thread and passes it back on every call.
 /// Buffers are sized by the first query and reused, so the steady state
 /// allocates nothing regardless of backend.
 ///
 /// Both kernels are exposed in two forms: one-shot (the full column in one
 /// call) and stepwise via Begin*Column / PartialColumnEvaluation, which
-/// adds one level per AdvanceLevel() so the TopKEngine
-/// (engine/topk_engine.h) can stop as soon as its residual bounds
+/// adds one level per AdvanceLevel() so QueryEngine::BatchTopK
+/// (engine/query_engine.h) can stop as soon as its residual bounds
 /// (core/topk.h) prove the top-k. The one-shot forms are implemented as a
 /// fully drained cursor, so the two can never diverge.
 

@@ -142,18 +142,10 @@ SimilarityOptionsBuilder& SimilarityOptionsBuilder::NumNodesBound(
   num_nodes_bound_ = num_nodes;
   return *this;
 }
-SimilarityOptionsBuilder& SimilarityOptionsBuilder::RequireTopK() {
-  require_top_k_ = true;
-  return *this;
-}
 
 Result<SimilarityOptions> SimilarityOptionsBuilder::Build() const {
   if (!deferred_.ok()) return deferred_;
   SRS_RETURN_NOT_OK(ValidateSimilarityOptions(options_));
-  if (require_top_k_ && options_.top_k < 1) {
-    return FieldError("top_k", ">= 1 for top-k serving",
-                      int64_t{options_.top_k});
-  }
   if (num_nodes_bound_ >= 0 && options_.top_k > num_nodes_bound_) {
     return FieldError("top_k",
                       "<= the graph's node count (" +

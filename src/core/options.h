@@ -49,8 +49,8 @@ struct SimilarityOptions {
   /// iteration (the paper's threshold-sieving, default 1e-4 in §5).
   double sieve_threshold = 0.0;
 
-  /// Single-source kernel backend used by the serving paths (QueryEngine /
-  /// AllPairsEngine); the one-off all-pairs algorithms ignore it.
+  /// Single-source kernel backend used by the serving path (QueryEngine);
+  /// the one-off all-pairs algorithms ignore it.
   KernelBackendKind backend = KernelBackendKind::kDense;
 
   /// Sparse-backend sieving threshold: after every Q/Qᵀ/Wᵀ product,
@@ -60,14 +60,14 @@ struct SimilarityOptions {
   /// dense backend bit for bit. Ignored by the dense backend.
   double prune_epsilon = 0.0;
 
-  /// Top-k serving knob (engine/topk_engine.h): when > 0, queries are
-  /// answered as the top_k best-ranked nodes instead of full score rows,
-  /// and the level recurrence may stop early once the residual bounds of
-  /// core/topk.h prove the ranking. 0 (the default) means full-row
-  /// serving; the full-row engines (QueryEngine / AllPairsEngine) ignore
-  /// the knob and normalize it to 0 in their result-cache digests, while a
-  /// top-k configuration folds it in — so top-k rankings and full rows
-  /// never alias in a shared ResultCache.
+  /// Top-k serving knob (QueryEngine::BatchTopK, engine/query_engine.h):
+  /// when > 0, queries are answered as the top_k best-ranked nodes instead
+  /// of full score rows, and the level recurrence may stop early once the
+  /// residual bounds of core/topk.h prove the ranking. 0 (the default)
+  /// means full-row serving; the full-row shapes ignore the knob and
+  /// normalize it to 0 in their result-cache digests, while a top-k answer
+  /// folds it in — so top-k rankings and full rows never alias in a shared
+  /// ResultCache.
   int top_k = 0;
 
   /// Whether a top-k configuration may terminate the level recurrence
@@ -151,10 +151,6 @@ class SimilarityOptionsBuilder {
   /// the server used to hand-roll against their loaded graphs).
   SimilarityOptionsBuilder& NumNodesBound(int64_t num_nodes);
 
-  /// Requires top_k >= 1 (the TopKEngine precondition): a ranked-serving
-  /// configuration built without a k is an error, not a silent full row.
-  SimilarityOptionsBuilder& RequireTopK();
-
   /// The validated options, or InvalidArgument naming the first offending
   /// field and its value.
   Result<SimilarityOptions> Build() const;
@@ -163,7 +159,6 @@ class SimilarityOptionsBuilder {
   SimilarityOptions options_;
   Status deferred_;  // first unrepresentable setter argument
   int64_t num_nodes_bound_ = -1;
-  bool require_top_k_ = false;
 };
 
 /// Smallest K such that C^{K+1} ≤ epsilon (geometric SimRank*/SimRank bound).

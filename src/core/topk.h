@@ -6,8 +6,8 @@
 /// The dominant user-facing workload for link-based similarity is "give me
 /// the k most similar nodes", yet every full-row serving path pays for all
 /// n scores at full series accuracy before ranking them. The two pieces
-/// here let the TopKEngine (engine/topk_engine.h) answer top-k queries by
-/// *stopping the level recurrence early*:
+/// here let QueryEngine::BatchTopK (engine/query_engine.h) answer top-k
+/// queries by *stopping the level recurrence early*:
 ///
 ///  * `TopKCollector` — a bounded max-heap of (node, score) candidates in
 ///    the library-wide RankedBefore order (higher score first, ties by
@@ -29,7 +29,7 @@
 /// only tighten this cap, never loosen it, so the tail of level L is at
 /// most Σ_{l>L} w_l · min(1, amplification_l). The same argument applies
 /// verbatim to the sparse frontier backend's pruned vectors (pruning only
-/// removes non-negative mass), which is what makes the TopKEngine's
+/// removes non-negative mass), which is what makes BatchTopK's
 /// termination test exact *relative to its backend's own full-row scores*
 /// at any prune epsilon — and therefore exact in the absolute sense at
 /// prune_epsilon = 0, where the backend reproduces the dense reference bit

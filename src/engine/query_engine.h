@@ -1,7 +1,9 @@
 #pragma once
 
 /// \file query_engine.h
-/// \brief Batched single-source similarity serving over a graph snapshot.
+/// \brief The serving engine: batched single-source similarity over a
+/// graph snapshot, as full rows, early-terminating top-k rankings, or
+/// streamed source sets up to all-pairs.
 ///
 /// The one-off entry points in core/single_source.h rebuild the normalized
 /// transition matrices (`Q`, `Qᵀ`, `Wᵀ`) and allocate fresh level-vector
@@ -12,33 +14,61 @@
 ///    `GraphSnapshot` (engine/snapshot.h) — memoized in a SnapshotCache, so
 ///    several engines over one graph share a single copy;
 ///  * it owns a reusable ThreadPool (common/parallel.h) whose workers stay
-///    parked between batches;
-///  * each worker owns a backend workspace (core/kernel_backend.h) that is
-///    sized on first use and reused for every subsequent query, so the
-///    steady-state hot loop performs **zero per-query heap allocations**;
-///  * batches of query nodes are claimed dynamically across workers, which
-///    load-balances the skewed per-query cost of power-law graphs;
-///  * optionally, a shared `ResultCache` (engine/result_cache.h) serves
-///    repeated queries without recomputation — cached answers are the very
-///    vectors a cold computation produced, hence bit-identical.
+///    parked between batches, and one scratch state per worker (backend
+///    workspace, score buffer, top-k sieve scratch), each sized by the
+///    first query that uses it and reused thereafter, so the steady-state
+///    hot loop performs **zero per-query heap allocations**;
+///  * every serving shape runs through one routine: with a shared
+///    `ResultCache` (engine/result_cache.h) it probes the cache serially,
+///    then fans only the misses out across the pool, whose workers claim
+///    them dynamically (load-balancing the skewed per-query cost of
+///    power-law graphs). A batch of pure cache hits wakes no worker.
 ///
-/// Results are bit-identical to the sequential single-source functions for
-/// any thread count, any batch composition, and any cache state (asserted
-/// by tests/query_engine_test.cpp and tests/engine_property_test.cpp).
-/// With `similarity.backend = KernelBackendKind::kSparse`, queries run
-/// through sparse frontier propagation instead: bit-identical at
-/// `prune_epsilon = 0`, and within the analytic bound of
-/// core/kernel_backend.h otherwise (tests/kernel_backend_test.cpp).
+/// The three shapes:
+///
+///  * `BatchScores` — full score rows ŝ(q, ·), one per query;
+///  * `BatchTopK` — the `similarity.top_k` best nodes per query, served
+///    with bound-based early termination: the level recurrence is
+///    evaluated *stepwise* through the kernel backend's partial-evaluation
+///    hook (KernelBackend::Begin*Column, core/kernel_backend.h) and, after
+///    every level, checked against the analytic residual tails of
+///    core/topk.h. Because all level contributions are non-negative,
+///    partial scores only grow, which yields a branch-and-bound loop — a
+///    monotone **sieve** drops candidates that cannot reach the running
+///    k-th partial score even with the whole tail, and iteration
+///    **terminates** once every adjacent pair among the top k+1 partials
+///    is separated by more than the tail. The returned set and order equal
+///    those of the backend's full-row scores sorted under RankedBefore
+///    (bit-for-bit the dense reference's ranking at prune_epsilon = 0);
+///    the reported scores are the partial sums at the termination level,
+///    within `TopKResult::residual_bound` of the full-accuracy scores;
+///  * `ForEachRow` / `ComputeRows` / `ComputeAllPairs` — source *sets* up
+///    to the full n×n matrix, processed in tiles of `tile_size` sources
+///    whose row buffers are reused tile after tile, so memory is bounded by
+///    the tile rather than the source set, and emitted in source order.
+///
+/// Full rows are bit-identical to the sequential single-source functions
+/// for any thread count, tile size, batch composition, and cache state
+/// (asserted by tests/query_engine_test.cpp and
+/// tests/engine_property_test.cpp). Full rows are cached under the
+/// canonical full-row digest whatever `top_k` says; top-k answers under a
+/// digest that folds `top_k` and `topk_early_termination`, so the two
+/// value shapes never alias. With `similarity.backend =
+/// KernelBackendKind::kSparse`, queries run through sparse frontier
+/// propagation instead: bit-identical at `prune_epsilon = 0`, and within
+/// the analytic bound of core/kernel_backend.h otherwise.
 ///
 /// \code
+///   QueryEngineOptions opts;
+///   opts.similarity.epsilon = 1e-6;  // accuracy-driven K
+///   opts.similarity.top_k = 10;
 ///   SRS_ASSIGN_OR_RETURN(QueryEngine engine, QueryEngine::Create(g, opts));
 ///   auto rankings = engine.BatchTopK(QueryMeasure::kSimRankStarGeometric,
-///                                    {7, 42, 99}, /*k=*/10);
+///                                    {7, 42, 99});
+///   auto rows = engine.BatchScores(QueryMeasure::kRwr, {7});
 /// \endcode
-///
-/// For source *sets* up to full all-pairs, see engine/all_pairs_engine.h,
-/// which streams tiled rows through the same kernels.
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -46,11 +76,14 @@
 #include "srs/common/result.h"
 #include "srs/core/kernel_backend.h"
 #include "srs/core/options.h"
+#include "srs/core/topk.h"
 #include "srs/engine/result_cache.h"
 #include "srs/engine/snapshot.h"
+#include "srs/engine/topk_engine.h"
 #include "srs/eval/ranking.h"
 #include "srs/graph/graph.h"
 #include "srs/graph/versioned_graph.h"
+#include "srs/matrix/dense_matrix.h"
 
 namespace srs {
 
@@ -67,18 +100,18 @@ const char* QueryMeasureToString(QueryMeasure measure);
 /// Stable small-integer tag of a measure, used in result-cache digests.
 int QueryMeasureTag(QueryMeasure measure);
 
-/// \brief Shared evaluation core of the serving engines: the kernel
-/// backend, precomputed series weights, and result-cache digests of one
-/// (snapshot, SimilarityOptions) pair.
+/// \brief Shared evaluation core of the serving paths: the kernel backend,
+/// precomputed series weights, residual tails, and result-cache digests of
+/// one (snapshot, SimilarityOptions) pair.
 ///
-/// QueryEngine and AllPairsEngine both evaluate and key their cache
-/// entries through this one component — which is exactly what makes their
-/// rows bit-identical and their ResultCache entries interchangeable. Any
-/// new measure, backend, or digest ingredient is added here once. The
-/// backend (dense reference or sparse frontier propagation; see
-/// core/kernel_backend.h) is selected by `similarity.backend`, and both
-/// the backend and its prune epsilon are folded into the digests so
-/// pruned and exact answers never alias in a shared cache.
+/// The QueryEngine and the ShardCoordinator (shard/coordinator.h) both
+/// evaluate and key their cache entries through this one component — which
+/// is what makes their rows bit-identical and their ResultCache entries
+/// interchangeable. Any new measure, backend, or digest ingredient is added
+/// here once. The backend (dense reference or sparse frontier propagation;
+/// see core/kernel_backend.h) is selected by `similarity.backend`, and both
+/// the backend and its prune epsilon are folded into the digests so pruned
+/// and exact answers never alias in a shared cache.
 class MeasureEvaluator {
  public:
   MeasureEvaluator() = default;
@@ -95,10 +128,19 @@ class MeasureEvaluator {
     return backend_->NewWorkspace();
   }
 
-  /// Result-cache key of ŝ(query, ·) under `measure`.
+  /// Result-cache key of `query`'s answer under `measure` and the options
+  /// exactly as configured — a top-k answer when `top_k` >= 1.
   ResultKey KeyFor(QueryMeasure measure, NodeId query) const {
     return ResultKey{snapshot_->fingerprint,
                      digests_[QueryMeasureTag(measure)], query};
+  }
+
+  /// Result-cache key of the full row ŝ(query, ·) under `measure`: the
+  /// canonical full-row digest (top-k knobs normalized away), whatever
+  /// `top_k` is configured.
+  ResultKey RowKeyFor(QueryMeasure measure, NodeId query) const {
+    return ResultKey{snapshot_->fingerprint,
+                     row_digests_[QueryMeasureTag(measure)], query};
   }
 
   /// Writes ŝ(query, ·) into `*out` (resized and overwritten), using
@@ -108,9 +150,9 @@ class MeasureEvaluator {
                KernelWorkspace* workspace, std::vector<double>* out) const;
 
   /// Stepwise variant of Compute for bound-based early termination
-  /// (engine/topk_engine.h): seeds level 0 of ŝ(query, ·) into `*out` and
-  /// returns the backend's cursor (owned by `workspace`, valid until the
-  /// next Begin on it). Draining the cursor is bitwise identical to
+  /// (QueryEngine::BatchTopK): seeds level 0 of ŝ(query, ·) into `*out`
+  /// and returns the backend's cursor (owned by `workspace`, valid until
+  /// the next Begin on it). Draining the cursor is bitwise identical to
   /// Compute.
   PartialColumnEvaluation* BeginCompute(QueryMeasure measure, NodeId query,
                                         KernelWorkspace* workspace,
@@ -137,23 +179,33 @@ class MeasureEvaluator {
   std::vector<double> geometric_weights_;
   std::vector<double> exponential_weights_;
   int rwr_iterations_ = 0;
-  // ResultDigest per measure, indexed by QueryMeasureTag.
+  // ResultDigest per measure, indexed by QueryMeasureTag: of the options as
+  // configured, and of the canonical full-row options.
   uint64_t digests_[3] = {0, 0, 0};
+  uint64_t row_digests_[3] = {0, 0, 0};
   // ResidualTails per measure, indexed by QueryMeasureTag.
   std::vector<double> tails_[3];
 };
 
 /// \brief Configuration of a QueryEngine.
 struct QueryEngineOptions {
-  /// Damping / iterations / epsilon for every measure served. `num_threads`
-  /// inside is ignored; the pool size below governs parallelism.
+  /// Measure parameters for every shape served. `similarity.top_k` is the
+  /// k of BatchTopK (which requires it >= 1); the full-row shapes ignore
+  /// it. `similarity.num_threads` is ignored; the pool size below governs
+  /// parallelism.
   SimilarityOptions similarity;
 
   /// Worker threads in the reusable pool (the dispatching thread counts as
   /// one). <= 0 means HardwareThreads().
   int num_threads = 1;
 
-  /// Optional shared cache of score vectors; null disables result caching.
+  /// Sources per cache-blocked tile of ForEachRow / ComputeRows; <= 0
+  /// means the default (32). Memory is bounded by tile_size × n doubles
+  /// regardless of the source-set size. Performance-only — rows are
+  /// identical for any value.
+  int tile_size = 32;
+
+  /// Optional shared cache of answers; null disables result caching.
   /// Safe to share with other engines and across threads.
   std::shared_ptr<ResultCache> result_cache;
 
@@ -161,23 +213,31 @@ struct QueryEngineOptions {
   SnapshotCache* snapshot_cache = nullptr;
 };
 
-/// \brief Serves batches of single-source similarity queries over one
-/// immutable graph snapshot.
+/// \brief Serves batches of single-source similarity queries — full rows,
+/// top-k rankings, or streamed source sets — over one immutable graph
+/// snapshot.
 ///
 /// Thread-compatible: concurrent calls into one engine are not supported
-/// (the pool and per-worker workspaces are reused across calls); create one
+/// (the pool and per-worker state are reused across calls); create one
 /// engine per serving thread or serialize access externally. The snapshot
 /// and the result cache *are* safely shared between engines on different
 /// threads.
 class QueryEngine {
  public:
+  /// Row consumer of ForEachRow: `index` is the position in the source
+  /// set, `source` the node, `scores` its full row ŝ(source, ·) (valid
+  /// only during the call).
+  using RowCallback =
+      std::function<void(int64_t index, NodeId source,
+                         const std::vector<double>& scores)>;
+
   /// Snapshots the referenced graph's transition structure (via the
   /// snapshot cache) and spins up the worker pool. `graph` is either a
   /// plain Graph or `{versioned_graph, version}` (engine/snapshot.h): a
   /// versioned ref is resolved through the cache by (fingerprint, version)
   /// and built incrementally from the nearest cached ancestor, sharing
-  /// every unmodified transition row with it — scores are bit-identical to
-  /// an engine over `vg.Materialize(version)`. InvalidArgument on bad
+  /// every unmodified transition row with it — answers are bit-identical
+  /// to an engine over `vg.Materialize(version)`. InvalidArgument on bad
   /// options or an out-of-range version.
   static Result<QueryEngine> Create(const GraphRef& graph,
                                     const QueryEngineOptions& options = {});
@@ -205,27 +265,81 @@ class QueryEngine {
   Result<std::vector<std::vector<double>>> BatchScores(
       QueryMeasure measure, const std::vector<NodeId>& queries);
 
-  /// Top-k rankings (query node excluded, ties broken by ascending id),
-  /// one per query, in batch order. Uses a bounded min-heap per query —
-  /// O(n log k) — instead of materializing a full sort. This computes the
-  /// full rows at full accuracy first; engine/topk_engine.h serves the
-  /// same rankings with bound-based early termination instead.
-  Result<std::vector<std::vector<RankedNode>>> BatchTopK(
-      QueryMeasure measure, const std::vector<NodeId>& queries, size_t k);
+  /// Top-k answers with k = `options().similarity.top_k`, one per query,
+  /// in batch order (query node excluded, ties by ascending id; a k beyond
+  /// n − 1 is served clamped). InvalidArgument when `top_k` < 1, plus the
+  /// batch errors of BatchScores; on error no query is evaluated. With a
+  /// result cache, repeated queries decode to bit-identical answers
+  /// (`served_from_cache` set).
+  Result<std::vector<TopKResult>> BatchTopK(
+      QueryMeasure measure, const std::vector<NodeId>& queries);
+
+  /// Streams ŝ(source, ·) for every source, tile by tile, invoking `fn` in
+  /// ascending index order. The source set must be non-empty
+  /// (InvalidArgument) and every node in range (OutOfRange); on error no
+  /// row is computed. Duplicate sources are each emitted.
+  Status ForEachRow(QueryMeasure measure, const std::vector<NodeId>& sources,
+                    const RowCallback& fn);
+
+  /// Materializes the |sources| × n score matrix, rows in source order.
+  Result<DenseMatrix> ComputeRows(QueryMeasure measure,
+                                  const std::vector<NodeId>& sources);
+
+  /// Materializes the full n × n score matrix (sources = all nodes).
+  Result<DenseMatrix> ComputeAllPairs(QueryMeasure measure);
 
  private:
+  /// Per-worker scratch, reused across queries and sized by the first
+  /// shape that needs each piece: the backend workspace (every shape) and
+  /// the branch-and-bound state of BatchTopK.
+  struct WorkerState {
+    std::unique_ptr<KernelWorkspace> workspace;
+    std::vector<double> partial;     // the growing score vector
+    std::vector<NodeId> candidates;  // survivors of the sieve
+    TopKCollector collector;         // top-(k+1) partials per level
+    std::vector<RankedNode> top;     // sorted extraction scratch
+  };
+
   QueryEngine(std::shared_ptr<const GraphSnapshot> snapshot,
               const QueryEngineOptions& options);
+
+  /// The one dispatch routine of every shape, over `queries[0, count)`.
+  /// With a result cache, probes each query's key (the configured top-k
+  /// key when `ranked`, else the full-row key) serially and offers a hit
+  /// to `hit(i, value)`, which returns false to treat it as a miss; then
+  /// fans the misses out across the pool as `miss(i, state, caching)`,
+  /// which computes the answer and — when `caching` — returns the value to
+  /// cache.
+  template <typename HitFn, typename MissFn>
+  void Serve(QueryMeasure measure, bool ranked, const NodeId* queries,
+             int64_t count, HitFn&& hit, MissFn&& miss);
+
+  /// Evaluates one query to top-k termination (early or exhausted) and
+  /// fills `*result`; `k` is the clamped top_k (>= 1).
+  void EvaluateTopK(QueryMeasure measure, NodeId query, size_t k,
+                    WorkerState* state, TopKResult* result) const;
+
+  /// One sieve + separation pass at the current level. Fills
+  /// `state->top` (sorted best-first, up to k+1 entries), compacts
+  /// `state->candidates`, and returns true when the top-k set and order
+  /// are provably settled. On failure `*min_gap` is the smallest adjacent
+  /// partial-score gap observed — the tail must drop below it before
+  /// separation can possibly pass, which schedules the next scan.
+  static bool SieveAndCheckSettled(size_t k, double tail, WorkerState* state,
+                                   double* min_gap);
 
   QueryEngineOptions options_;
   MeasureEvaluator eval_;
 
-  // unique_ptr keeps the engine movable (ThreadPool and the workspaces are
-  // address-stable for the worker threads). One backend-owned workspace
-  // per worker, created by the evaluator's backend.
+  // unique_ptr keeps the engine movable: the pool's threads hold its
+  // address.
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<std::vector<std::unique_ptr<KernelWorkspace>>> workspaces_;
-  std::unique_ptr<std::vector<std::vector<double>>> score_buffers_;
+  std::vector<WorkerState> workers_;
+  // Positions of the current dispatch's cache misses.
+  std::vector<int64_t> misses_;
+  // tile_size row buffers of ForEachRow, each sized by its first row and
+  // reused for every tile thereafter (the cache-blocking working set).
+  std::vector<std::vector<double>> tile_rows_;
 };
 
 }  // namespace srs

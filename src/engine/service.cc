@@ -186,6 +186,19 @@ Result<std::shared_ptr<const ShardedGraph>> SrsService::ShardedGraphFor(
                               EdgeBalancedPartitioner());
 }
 
+Result<std::unique_ptr<QueryEngine>> SrsService::NewEngine(
+    const SimilarityOptions& options, uint64_t version) {
+  QueryEngineOptions opts;
+  opts.similarity = options;
+  opts.num_threads = options_.num_threads;
+  opts.tile_size = options_.tile_size;
+  opts.result_cache = options_.result_cache;
+  opts.snapshot_cache = ResolveSnapshotCache(options_);
+  SRS_ASSIGN_OR_RETURN(QueryEngine engine,
+                       QueryEngine::Create({graph_, version}, opts));
+  return std::make_unique<QueryEngine>(std::move(engine));
+}
+
 Result<QueryResponse> SrsService::Query(const QueryRequest& request) {
   std::lock_guard<std::mutex> lock(mu_);
   if (request.deadline.has_value() &&
@@ -200,149 +213,81 @@ Result<QueryResponse> SrsService::Query(const QueryRequest& request) {
   SRS_ASSIGN_OR_RETURN(const uint64_t version,
                        ResolveVersion(request.version));
   const bool ranked = request.options.top_k > 0;
+  // Sharded serving runs both shapes through one ShardCoordinator per
+  // (options digest, version). Answers are bit-identical to the engine's at
+  // prune_epsilon = 0 (shard/coordinator.h), but cached and memoized under
+  // shard-folded digests, so the two serving modes never alias.
+  const bool sharded = request.options.shards >= 2;
 
   QueryResponse response;
   response.version = version;
   response.ranked = ranked;
   ++stats_.queries;
 
-  if (request.options.shards >= 2) {
-    // Sharded serving: both shapes run through one ShardCoordinator per
-    // (options digest, version). Answers are bit-identical to the
-    // unsharded branches below at prune_epsilon = 0 (shard/coordinator.h),
-    // but cached and memoized under shard-folded digests, so the two
-    // serving modes never alias.
-    const int shape = ranked ? kShapeShardedRanked : kShapeShardedFull;
-    const uint64_t key = EngineKey(shape, request.options, version);
+  const int shape = sharded ? (ranked ? kShapeShardedRanked : kShapeShardedFull)
+                            : (ranked ? kShapeRanked : kShapeFullRow);
+  SRS_ASSIGN_OR_RETURN(
+      std::shared_ptr<EngineSlot> slot,
+      GetSlot(EngineKey(shape, request.options, version),
+              &response.engine_reused, [&](EngineSlot* s) -> Status {
+                if (!sharded) {
+                  SRS_ASSIGN_OR_RETURN(s->engine,
+                                       NewEngine(request.options, version));
+                  return Status::OK();
+                }
+                SRS_ASSIGN_OR_RETURN(
+                    std::shared_ptr<const ShardedGraph> sharded_graph,
+                    ShardedGraphFor(request.options.shards, version));
+                ShardCoordinatorOptions opts;
+                opts.similarity = request.options;
+                opts.num_threads = options_.num_threads;
+                opts.result_cache = options_.result_cache;
+                SRS_ASSIGN_OR_RETURN(
+                    ShardCoordinator coordinator,
+                    ShardCoordinator::Create(std::move(sharded_graph), opts));
+                s->sharded =
+                    std::make_unique<ShardCoordinator>(std::move(coordinator));
+                return Status::OK();
+              }));
+  const double resolve_s = timed ? stage.Seconds() : 0.0;
+  std::vector<TopKResult> rankings;
+  std::vector<std::vector<double>> scores;
+  if (ranked) {
     SRS_ASSIGN_OR_RETURN(
-        std::shared_ptr<EngineSlot> slot,
-        GetSlot(key, &response.engine_reused, [&](EngineSlot* s) -> Status {
-          SRS_ASSIGN_OR_RETURN(
-              std::shared_ptr<const ShardedGraph> sharded,
-              ShardedGraphFor(request.options.shards, version));
-          ShardCoordinatorOptions opts;
-          opts.similarity = request.options;
-          opts.num_threads = options_.num_threads;
-          opts.result_cache = options_.result_cache;
-          SRS_ASSIGN_OR_RETURN(
-              ShardCoordinator coordinator,
-              ShardCoordinator::Create(std::move(sharded), opts));
-          s->sharded =
-              std::make_unique<ShardCoordinator>(std::move(coordinator));
-          return Status::OK();
-        }));
-    const double resolve_s = timed ? stage.Seconds() : 0.0;
-    if (ranked) {
-      SRS_ASSIGN_OR_RETURN(
-          std::vector<TopKResult> results,
-          slot->sharded->BatchTopK(request.measure, request.sources));
-      response.rows.resize(results.size());
-      for (size_t i = 0; i < results.size(); ++i) {
-        QueryRowResult& row = response.rows[i];
-        row.source = request.sources[i];
-        row.ranking = std::move(results[i].ranking);
-        row.levels_evaluated = results[i].levels_evaluated;
-        row.levels_total = results[i].levels_total;
-        row.residual_bound = results[i].residual_bound;
-        row.served_from_cache = results[i].served_from_cache;
-      }
-    } else {
-      SRS_ASSIGN_OR_RETURN(
-          std::vector<std::vector<double>> scores,
-          slot->sharded->BatchScores(request.measure, request.sources));
-      response.rows.resize(scores.size());
-      for (size_t i = 0; i < scores.size(); ++i) {
-        response.rows[i].source = request.sources[i];
-        response.rows[i].scores = std::move(scores[i]);
-      }
-    }
-    if (timed) {
-      const double compute_s = stage.Seconds() - resolve_s;
-      const char* shape_name = ranked ? "ranked" : "full";
-      QueryBatchSecondsHistogram(shape_name)->Observe(compute_s);
-      QueryBatchSourcesHistogram(shape_name)->Observe(
-          static_cast<double>(request.sources.size()));
-      if (request.collect_trace) {
-        response.trace.collected = true;
-        response.trace.resolve_ms = resolve_s * 1e3;
-        response.trace.compute_ms = compute_s * 1e3;
-      }
-    }
-  } else if (ranked) {
-    const uint64_t key = EngineKey(kShapeRanked, request.options, version);
-    SRS_ASSIGN_OR_RETURN(
-        std::shared_ptr<EngineSlot> slot,
-        GetSlot(key, &response.engine_reused, [&](EngineSlot* s) -> Status {
-          TopKEngineOptions opts;
-          opts.similarity = request.options;
-          opts.num_threads = options_.num_threads;
-          opts.result_cache = options_.result_cache;
-          opts.snapshot_cache = ResolveSnapshotCache(options_);
-          SRS_ASSIGN_OR_RETURN(TopKEngine engine,
-                               TopKEngine::Create({graph_, version}, opts));
-          s->ranked = std::make_unique<TopKEngine>(std::move(engine));
-          return Status::OK();
-        }));
-    const double resolve_s = timed ? stage.Seconds() : 0.0;
-    SRS_ASSIGN_OR_RETURN(
-        std::vector<TopKResult> results,
-        slot->ranked->BatchTopK(request.measure, request.sources));
-    if (timed) {
-      const double compute_s = stage.Seconds() - resolve_s;
-      QueryBatchSecondsHistogram("ranked")->Observe(compute_s);
-      QueryBatchSourcesHistogram("ranked")->Observe(
-          static_cast<double>(request.sources.size()));
-      if (request.collect_trace) {
-        response.trace.collected = true;
-        response.trace.resolve_ms = resolve_s * 1e3;
-        response.trace.compute_ms = compute_s * 1e3;
-      }
-    }
-    response.rows.resize(results.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      QueryRowResult& row = response.rows[i];
-      row.source = request.sources[i];
-      row.ranking = std::move(results[i].ranking);
-      row.levels_evaluated = results[i].levels_evaluated;
-      row.levels_total = results[i].levels_total;
-      row.residual_bound = results[i].residual_bound;
-      row.served_from_cache = results[i].served_from_cache;
-    }
+        rankings,
+        sharded ? slot->sharded->BatchTopK(request.measure, request.sources)
+                : slot->engine->BatchTopK(request.measure, request.sources));
   } else {
-    const uint64_t key = EngineKey(kShapeFullRow, request.options, version);
     SRS_ASSIGN_OR_RETURN(
-        std::shared_ptr<EngineSlot> slot,
-        GetSlot(key, &response.engine_reused, [&](EngineSlot* s) -> Status {
-          QueryEngineOptions opts;
-          opts.similarity = request.options;
-          opts.num_threads = options_.num_threads;
-          opts.result_cache = options_.result_cache;
-          opts.snapshot_cache = ResolveSnapshotCache(options_);
-          SRS_ASSIGN_OR_RETURN(QueryEngine engine,
-                               QueryEngine::Create({graph_, version}, opts));
-          s->full = std::make_unique<QueryEngine>(std::move(engine));
-          return Status::OK();
-        }));
-    const double resolve_s = timed ? stage.Seconds() : 0.0;
-    SRS_ASSIGN_OR_RETURN(
-        std::vector<std::vector<double>> scores,
-        slot->full->BatchScores(request.measure, request.sources));
-    if (timed) {
-      const double compute_s = stage.Seconds() - resolve_s;
-      QueryBatchSecondsHistogram("full")->Observe(compute_s);
-      QueryBatchSourcesHistogram("full")->Observe(
-          static_cast<double>(request.sources.size()));
-      if (request.collect_trace) {
-        response.trace.collected = true;
-        response.trace.resolve_ms = resolve_s * 1e3;
-        response.trace.compute_ms = compute_s * 1e3;
-      }
+        scores,
+        sharded ? slot->sharded->BatchScores(request.measure, request.sources)
+                : slot->engine->BatchScores(request.measure, request.sources));
+  }
+  if (timed) {
+    const double compute_s = stage.Seconds() - resolve_s;
+    const char* shape_name = ranked ? "ranked" : "full";
+    QueryBatchSecondsHistogram(shape_name)->Observe(compute_s);
+    QueryBatchSourcesHistogram(shape_name)->Observe(
+        static_cast<double>(request.sources.size()));
+    if (request.collect_trace) {
+      response.trace.collected = true;
+      response.trace.resolve_ms = resolve_s * 1e3;
+      response.trace.compute_ms = compute_s * 1e3;
     }
-    response.rows.resize(scores.size());
-    for (size_t i = 0; i < scores.size(); ++i) {
-      response.rows[i].source = request.sources[i];
-      response.rows[i].scores = std::move(scores[i]);
+  }
+  response.rows.resize(request.sources.size());
+  for (size_t i = 0; i < response.rows.size(); ++i) {
+    QueryRowResult& row = response.rows[i];
+    row.source = request.sources[i];
+    if (!ranked) {
+      row.scores = std::move(scores[i]);
+      continue;
     }
+    row.ranking = std::move(rankings[i].ranking);
+    row.levels_evaluated = rankings[i].levels_evaluated;
+    row.levels_total = rankings[i].levels_total;
+    row.residual_bound = rankings[i].residual_bound;
+    row.served_from_cache = rankings[i].served_from_cache;
   }
   stats_.rows_served += response.rows.size();
   if (request.collect_trace) {
@@ -360,6 +305,8 @@ Status SrsService::StreamRows(const QueryRequest& request,
   // snapshot, so a concurrent ApplyDelta is safe; eviction of this slot
   // mid-stream is safe too (the shared_ptr keeps the engine alive).
   std::shared_ptr<EngineSlot> slot;
+  std::unique_lock<std::mutex> exec;
+  std::unique_ptr<QueryEngine> private_engine;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (request.deadline.has_value() &&
@@ -372,33 +319,31 @@ Status SrsService::StreamRows(const QueryRequest& request,
     bool reused = false;
     SRS_ASSIGN_OR_RETURN(
         slot, GetSlot(key, &reused, [&](EngineSlot* s) -> Status {
-          AllPairsOptions opts;
-          opts.similarity = request.options;
-          opts.num_threads = options_.num_threads;
-          opts.tile_size = options_.tile_size;
-          opts.result_cache = options_.result_cache;
-          opts.snapshot_cache = ResolveSnapshotCache(options_);
-          SRS_ASSIGN_OR_RETURN(
-              AllPairsEngine engine,
-              AllPairsEngine::Create({graph_, version}, opts));
-          s->rows = std::make_unique<AllPairsEngine>(std::move(engine));
+          SRS_ASSIGN_OR_RETURN(s->engine,
+                               NewEngine(request.options, version));
           return Status::OK();
         }));
+    // A busy warm engine belongs to another stream — possibly the one
+    // whose callback issued this call, which would wait on itself forever.
+    // Never block on it: build a private engine instead.
+    exec = std::unique_lock<std::mutex>(slot->exec_mu, std::try_to_lock);
+    if (!exec.owns_lock()) {
+      SRS_ASSIGN_OR_RETURN(private_engine,
+                           NewEngine(request.options, version));
+      ++stats_.engines_created;
+    }
     ++stats_.queries;
   }
-  {
-    // Engines are thread-compatible: two streams that resolved the same
-    // slot serialize here, outside the service lock.
-    std::lock_guard<std::mutex> exec(slot->exec_mu);
-    Timer stream_timer;
-    SRS_RETURN_NOT_OK(
-        slot->rows->ForEachRow(request.measure, request.sources, fn));
-    if (MetricsEnabled()) {
-      QueryBatchSecondsHistogram("allpairs")->Observe(stream_timer.Seconds());
-      QueryBatchSourcesHistogram("allpairs")->Observe(
-          static_cast<double>(request.sources.size()));
-    }
+  QueryEngine* engine =
+      private_engine != nullptr ? private_engine.get() : slot->engine.get();
+  Timer stream_timer;
+  SRS_RETURN_NOT_OK(engine->ForEachRow(request.measure, request.sources, fn));
+  if (MetricsEnabled()) {
+    QueryBatchSecondsHistogram("allpairs")->Observe(stream_timer.Seconds());
+    QueryBatchSourcesHistogram("allpairs")->Observe(
+        static_cast<double>(request.sources.size()));
   }
+  if (exec.owns_lock()) exec.unlock();
   std::lock_guard<std::mutex> lock(mu_);
   stats_.rows_served += request.sources.size();
   return Status::OK();

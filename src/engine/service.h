@@ -1,14 +1,14 @@
 #pragma once
 
 /// \file service.h
-/// \brief SrsService — the one serving facade over the similarity engines.
+/// \brief SrsService — the one serving facade over the similarity engine.
 ///
-/// The engines each solve one serving shape: QueryEngine computes full
-/// score rows, TopKEngine ranks with bound-based early termination,
-/// AllPairsEngine streams tiled source sets. Every embedder — the CLI, the
-/// quickstart, the srs_serve server — used to pick engines by hand, wire
-/// the same snapshot/result caches into each, and re-create them per
-/// version of a dynamic graph. SrsService is that wiring, once:
+/// One QueryEngine (engine/query_engine.h) serves every shape: full score
+/// rows, rankings with bound-based early termination, and streamed source
+/// sets. Every embedder — the CLI, the quickstart, the srs_serve server —
+/// would otherwise create engines by hand, wire the same snapshot/result
+/// caches into each, and re-create them per version of a dynamic graph.
+/// SrsService is that wiring, once:
 ///
 ///  * one `QueryRequest` describes any single-source workload — measure,
 ///    source batch, a full `SimilarityOptions` (whose `top_k` selects
@@ -27,7 +27,7 @@
 ///  * answers are bit-identical to driving the underlying engine directly
 ///    with the same options (asserted by tests/service_test.cpp).
 ///
-/// Calls are serialized internally (the engines are thread-compatible, not
+/// Calls are serialized internally (engines are thread-compatible, not
 /// thread-safe); parallelism comes from the engines' worker pools. For a
 /// concurrent front door with request coalescing and backpressure, see
 /// server/server.h, which drives one SrsService from a single dispatcher.
@@ -42,11 +42,9 @@
 
 #include "srs/common/result.h"
 #include "srs/core/options.h"
-#include "srs/engine/all_pairs_engine.h"
 #include "srs/engine/query_engine.h"
 #include "srs/engine/result_cache.h"
 #include "srs/engine/snapshot.h"
-#include "srs/engine/topk_engine.h"
 #include "srs/eval/ranking.h"
 #include "srs/graph/delta.h"
 #include "srs/graph/graph.h"
@@ -69,7 +67,8 @@ struct QueryRequest {
   std::vector<NodeId> sources;
 
   /// Full measure configuration. `top_k == 0` serves full score rows;
-  /// `top_k >= 1` serves rankings through the early-terminating TopKEngine.
+  /// `top_k >= 1` serves rankings through the early-terminating
+  /// QueryEngine::BatchTopK.
   /// `shards >= 2` routes either shape through a ShardCoordinator
   /// (shard/coordinator.h) instead — bit-identical answers at
   /// prune_epsilon = 0, partitioned serving. `num_threads` is ignored —
@@ -144,8 +143,8 @@ struct SrsServiceOptions {
   /// HardwareThreads().
   int num_threads = 1;
 
-  /// Tile size of streamed-row serving (AllPairsEngine); 0 = the engine
-  /// default. Performance-only — scores are identical for any value.
+  /// Tile size of streamed-row serving (QueryEngine::ForEachRow); 0 = the
+  /// engine default. Performance-only — scores are identical for any value.
   int tile_size = 0;
 
   /// Shared score cache wired into every engine; null disables result
@@ -223,12 +222,14 @@ class SrsService {
   Result<QueryResponse> Query(const QueryRequest& request);
 
   /// Streams full rows for `request.sources` in order through `fn`
-  /// (AllPairsEngine semantics: the row is valid only during the call).
-  /// `request.options.top_k` is ignored — streamed rows are always full.
-  /// `fn` runs *outside* the service lock, so it may safely re-enter the
-  /// service (Stats(), Query(), even another StreamRows); two streams over
-  /// the same engine configuration serialize on that engine's own lock.
-  using RowCallback = AllPairsEngine::RowCallback;
+  /// (QueryEngine::ForEachRow semantics: the row is valid only during the
+  /// call). `request.options.top_k` is ignored — streamed rows are always
+  /// full. `fn` runs *outside* the service lock, so it may safely re-enter
+  /// the service (Stats(), Query(), even another StreamRows). A stream
+  /// whose warm engine is busy with another stream — a concurrent one, or
+  /// the very stream whose callback this is — runs on a private engine
+  /// that is not entered into the LRU.
+  using RowCallback = QueryEngine::RowCallback;
   Status StreamRows(const QueryRequest& request, const RowCallback& fn);
 
   /// Applies `delta` on the current head, derives the child snapshot
@@ -275,18 +276,16 @@ class SrsService {
   void RegisterMetrics(MetricsRegistry* registry = nullptr);
 
  private:
-  /// One warm engine: exactly one of the three pointers is set, matching
-  /// the shape folded into `key`. Slots are shared_ptrs so an engine
-  /// streaming outside the service lock survives its own LRU eviction;
-  /// `exec_mu` serializes use of the (thread-compatible) engine by
-  /// streams that have left the service lock.
+  /// One warm engine: exactly one of the two pointers is set — the
+  /// coordinator for the sharded shapes folded into `key`. Slots are
+  /// shared_ptrs so an engine streaming outside the service lock survives
+  /// its own LRU eviction; `exec_mu` is held by the stream using the
+  /// (thread-compatible) engine after it has left the service lock.
   struct EngineSlot {
     uint64_t key = 0;
     uint64_t last_use = 0;
     std::mutex exec_mu;
-    std::unique_ptr<QueryEngine> full;
-    std::unique_ptr<TopKEngine> ranked;
-    std::unique_ptr<AllPairsEngine> rows;
+    std::unique_ptr<QueryEngine> engine;
     std::unique_ptr<ShardCoordinator> sharded;
   };
 
@@ -299,6 +298,11 @@ class SrsService {
   /// Memo key of one (shape, options, version) engine configuration.
   uint64_t EngineKey(int shape_tag, const SimilarityOptions& options,
                      uint64_t version) const;
+
+  /// A fresh engine over (`options`, `version`) wired to the service's
+  /// pool size and caches. Call with `mu_` held.
+  Result<std::unique_ptr<QueryEngine>> NewEngine(
+      const SimilarityOptions& options, uint64_t version);
 
   /// Finds the slot for `key` (refreshing LRU order) or creates one via
   /// `build`, evicting the least-recently-used slot first so residency

@@ -1,92 +1,19 @@
 #pragma once
 
 /// \file topk_engine.h
-/// \brief Batched top-k similarity serving with bound-based early
-/// termination.
+/// \brief The top-k answer type of QueryEngine::BatchTopK
+/// (engine/query_engine.h) and its ResultCache encoding.
 ///
-/// "Give me the k most similar nodes" is the dominant user-facing workload
-/// for link-based similarity, yet the full-row engines pay for all n
-/// scores at full series accuracy before ranking them. The TopKEngine
-/// serves top-k directly: it evaluates the level recurrence *stepwise*
-/// through the kernel backend's partial-evaluation hook
-/// (KernelBackend::Begin*Column, core/kernel_backend.h) and, after every
-/// level, consults the analytic residual tails of core/topk.h — an upper
-/// bound on everything the remaining levels can still add to any score.
-/// Because all level contributions are non-negative, partial scores only
-/// grow, which yields a classic branch-and-bound loop:
-///
-///  * **sieve** — a candidate whose partial score plus the tail falls
-///    below the running k-th partial score can never reach the top-k and
-///    is dropped; the sieve is monotone (a dropped candidate can never
-///    re-qualify), so the candidate set only shrinks;
-///  * **terminate** — once every adjacent pair among the top k+1 partial
-///    scores is separated by more than the tail, the remaining levels can
-///    change neither the top-k set nor its order, and iteration stops.
-///
-/// Early termination is *exact*: the returned set and order equal those of
-/// the backend's full-row scores sorted under RankedBefore (higher score
-/// first, ties by ascending node id) — bit-for-bit the dense reference's
-/// ranking at prune_epsilon = 0, and the sparse backend's own (analytically
-/// bounded) ranking otherwise. The reported scores are the partial sums at
-/// the termination level: guaranteed lower bounds within
-/// `TopKResult::residual_bound` of the full-accuracy scores, and 0 when
-/// the series ran to completion. Because per-level cost of the binomial
-/// kernels grows linearly with the level, stopping even halfway saves
-/// quadratically — see bench/bench_topk.cpp.
-///
-/// The engine mirrors QueryEngine's serving shape: one shared immutable
-/// GraphSnapshot, a reusable ThreadPool with per-worker backend workspaces
-/// and collector scratch (zero steady-state allocations), and an optional
-/// shared ResultCache. Top-k answers are cached under digests that fold
-/// the `top_k` / `topk_early_termination` knobs (engine/result_cache.h),
-/// so they never alias full rows or other k's, and a cached answer is the
-/// encoded bits of the cold one.
-///
-/// \code
-///   SimilarityOptions sim;
-///   sim.epsilon = 1e-6;  // accuracy-driven K — where early stopping wins
-///   sim.top_k = 10;
-///   TopKEngineOptions opts;
-///   opts.similarity = sim;
-///   SRS_ASSIGN_OR_RETURN(TopKEngine engine, TopKEngine::Create(g, opts));
-///   auto results = engine.BatchTopK(QueryMeasure::kSimRankStarGeometric,
-///                                   {7, 42, 99});
-/// \endcode
+/// Top-k answers are cached under digests that fold the `top_k` /
+/// `topk_early_termination` knobs (engine/result_cache.h), so they never
+/// alias full rows or other k's, and a cached answer decodes to the bits
+/// of the cold one.
 
-#include <memory>
 #include <vector>
 
-#include "srs/common/parallel.h"
-#include "srs/common/result.h"
-#include "srs/core/kernel_backend.h"
-#include "srs/core/options.h"
-#include "srs/core/topk.h"
-#include "srs/engine/query_engine.h"
-#include "srs/engine/result_cache.h"
-#include "srs/engine/snapshot.h"
 #include "srs/eval/ranking.h"
-#include "srs/graph/graph.h"
 
 namespace srs {
-
-/// \brief Configuration of a TopKEngine.
-struct TopKEngineOptions {
-  /// Measure parameters; `similarity.top_k` must be >= 1 and is the k
-  /// every batch is served with. `similarity.num_threads` is ignored; the
-  /// pool size below governs parallelism.
-  SimilarityOptions similarity;
-
-  /// Worker threads in the reusable pool (the dispatching thread counts as
-  /// one). <= 0 means HardwareThreads().
-  int num_threads = 1;
-
-  /// Optional shared cache; null disables result caching. Safe to share
-  /// with full-row engines — top-k digests never alias theirs.
-  std::shared_ptr<ResultCache> result_cache;
-
-  /// Snapshot memo used at Create(); null means GlobalSnapshotCache().
-  SnapshotCache* snapshot_cache = nullptr;
-};
 
 /// \brief One query's top-k answer plus early-termination diagnostics.
 struct TopKResult {
@@ -112,91 +39,18 @@ struct TopKResult {
   bool served_from_cache = false;
 };
 
-/// \brief Serves batches of top-k similarity queries over one immutable
-/// graph snapshot, stopping each query's level recurrence as soon as its
-/// top-k is provably settled.
-///
-/// Thread-compatible like QueryEngine: one engine per serving thread (or
-/// external serialization); snapshots and result caches are safely shared
-/// between engines.
-class TopKEngine {
- public:
-  /// Snapshots the referenced graph's transition structure and spins up
-  /// the worker pool. `graph` is a plain Graph or `{versioned_graph,
-  /// version}` (engine/snapshot.h); a versioned ref serves the
-  /// incrementally resolved snapshot, bit-identical to an engine over
-  /// `vg.Materialize(version)`. InvalidArgument on bad options — including
-  /// `similarity.top_k` < 1 — or an out-of-range version.
-  static Result<TopKEngine> Create(const GraphRef& graph,
-                                   const TopKEngineOptions& options = {});
-
-  TopKEngine(TopKEngine&&) = default;
-  TopKEngine& operator=(TopKEngine&&) = default;
-
-  /// Nodes in the snapshot.
-  int64_t NumNodes() const { return eval_.num_nodes(); }
-
-  /// Workers in the pool.
-  int NumWorkers() const { return pool_->NumWorkers(); }
-
-  /// The k every batch is served with (options().similarity.top_k).
-  int TopK() const { return options_.similarity.top_k; }
-
-  const TopKEngineOptions& options() const { return options_; }
-
-  /// The shared snapshot this engine serves from.
-  const std::shared_ptr<const GraphSnapshot>& snapshot() const {
-    return eval_.snapshot();
-  }
-
-  /// Top-k answers, one per query, in batch order. The batch must be
-  /// non-empty (InvalidArgument) and every node in range (OutOfRange); on
-  /// error no query is evaluated. With a result cache, repeated queries
-  /// decode to bit-identical answers.
-  Result<std::vector<TopKResult>> BatchTopK(
-      QueryMeasure measure, const std::vector<NodeId>& queries);
-
- private:
-  /// Per-worker scratch: backend workspace plus the branch-and-bound
-  /// state, all reused across queries.
-  struct WorkerState {
-    std::unique_ptr<KernelWorkspace> workspace;
-    std::vector<double> partial;      // the growing score vector
-    std::vector<NodeId> candidates;   // survivors of the sieve
-    TopKCollector collector;          // top-(k+1) partials per level
-    std::vector<RankedNode> top;      // sorted extraction scratch
-  };
-
-  TopKEngine(std::shared_ptr<const GraphSnapshot> snapshot,
-             const TopKEngineOptions& options);
-
-  /// Evaluates one query to termination (early or exhausted) and fills
-  /// `*result`.
-  void EvaluateOne(QueryMeasure measure, NodeId query, WorkerState* state,
-                   TopKResult* result) const;
-
-  /// One sieve + separation pass at the current level. Fills
-  /// `state->top` (sorted best-first, up to k+1 entries), compacts
-  /// `state->candidates`, and returns true when the top-k set and order
-  /// are provably settled. On failure `*min_gap` is the smallest adjacent
-  /// partial-score gap observed — the tail must drop below it before
-  /// separation can possibly pass, which schedules the next scan.
-  bool SieveAndCheckSettled(double tail, WorkerState* state,
-                            double* min_gap) const;
-
-  TopKEngineOptions options_;
-  MeasureEvaluator eval_;
-  size_t effective_k_ = 0;  // min(top_k, n - 1), at least 1 candidate slot
-
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<std::vector<WorkerState>> workers_;
-};
-
 /// Encodes a TopKResult as the flat vector stored in a ResultCache and the
 /// exact inverse. Layout: [levels_evaluated, levels_total, residual_bound,
 /// node_0, score_0, ..., node_{m-1}, score_{m-1}] — node ids are exact in
 /// a double. Exposed for tests.
 void EncodeTopKResult(const TopKResult& result, std::vector<double>* out);
 bool DecodeTopKResult(const std::vector<double>& encoded, TopKResult* out);
+
+/// Former names of the one serving engine, kept for the benchmark harness
+/// (perfbench/traced.cc), which is compiled against them.
+class QueryEngine;
+struct QueryEngineOptions;
+using TopKEngine = QueryEngine;
+using TopKEngineOptions = QueryEngineOptions;
 
 }  // namespace srs

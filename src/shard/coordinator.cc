@@ -295,7 +295,7 @@ bool ShardCoordinator::SieveAndCheckSettled(double tail, double* min_gap) {
     }
   }
 
-  // Identical separation test to TopKEngine::SieveAndCheckSettled.
+  // Identical separation test to QueryEngine::SieveAndCheckSettled.
   bool settled = true;
   *min_gap = tail;
   for (size_t i = 0; i + 1 < m; ++i) {
@@ -335,7 +335,7 @@ void ShardCoordinator::EvaluateOne(QueryMeasure measure, NodeId query,
     last_tail_[si] = 0.0;
   }
 
-  // TopKEngine::EvaluateOne's scan-scheduling loop, verbatim — same
+  // QueryEngine::EvaluateTopK's scan-scheduling loop, verbatim — same
   // control inputs (partials, tails, snapshot shape), so the sharded path
   // terminates at the same level with the same collector contents.
   const bool allow_early = options_.similarity.topk_early_termination;
@@ -432,7 +432,7 @@ Result<std::vector<TopKResult>> ShardCoordinator::BatchTopK(
     }
   }
   if (MetricsEnabled()) {
-    // Same accounting rule as TopKEngine: cache-served answers describe
+    // Same accounting rule as QueryEngine: cache-served answers describe
     // the original cold computation, not work this call did.
     Histogram* levels = TopKTerminationLevelsHistogram();
     uint64_t evaluated = 0, possible = 0;

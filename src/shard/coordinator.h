@@ -3,8 +3,9 @@
 /// \file coordinator.h
 /// \brief Scatter/gather query coordination over an in-process ShardedGraph.
 ///
-/// The ShardCoordinator serves the same two shapes as QueryEngine and
-/// TopKEngine — full score rows and early-terminating top-k rankings — but
+/// The ShardCoordinator serves the same two shapes as QueryEngine's
+/// BatchScores and BatchTopK — full score rows and early-terminating top-k
+/// rankings — but
 /// row-partitioned across shards: every level of the level recurrence is
 /// fanned out over the shard slices (each shard computing its node range of
 /// every level vector via CsrOverlay::MultiplyVectorRange), merged at a
@@ -22,7 +23,7 @@
 /// (core/single_source_kernel.cc). The differential fuzz suite
 /// (tests/sharding_fuzz_test.cpp) asserts the identity end to end.
 ///
-/// **Top-k shard pruning.** The top-k path replicates TopKEngine's
+/// **Top-k shard pruning.** The top-k path replicates QueryEngine's
 /// branch-and-bound loop exactly, with one addition: each shard remembers
 /// the maximum partial score it exposed at its last sieve scan together
 /// with the residual tail at that moment. Because partial scores grow by
@@ -129,7 +130,7 @@ class ShardCoordinator {
       QueryMeasure measure, const std::vector<NodeId>& queries);
 
   /// Top-k answers, one per query, in batch order — the sharded
-  /// counterpart of TopKEngine::BatchTopK (requires `similarity.top_k` >=
+  /// counterpart of QueryEngine::BatchTopK (requires `similarity.top_k` >=
   /// 1), with shard-level pruning layered under the engine's exact
   /// branch-and-bound loop.
   Result<std::vector<TopKResult>> BatchTopK(
@@ -158,10 +159,10 @@ class ShardCoordinator {
                       std::vector<double>* out);
 
   /// One sieve + separation pass over the per-shard candidate lists —
-  /// TopKEngine::SieveAndCheckSettled with the shard-level prunes.
+  /// QueryEngine::SieveAndCheckSettled with the shard-level prunes.
   bool SieveAndCheckSettled(double tail, double* min_gap);
 
-  /// Evaluates one top-k query (TopKEngine::EvaluateOne, sharded).
+  /// Evaluates one top-k query (QueryEngine::EvaluateTopK, sharded).
   void EvaluateOne(QueryMeasure measure, NodeId query, TopKResult* result);
 
   ShardCoordinatorOptions options_;

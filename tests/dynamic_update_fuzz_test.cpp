@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include "srs/common/rng.h"
-#include "srs/engine/all_pairs_engine.h"
 #include "srs/engine/delta_invalidation.h"
 #include "srs/engine/query_engine.h"
 #include "srs/engine/result_cache.h"
@@ -229,14 +228,14 @@ void RunDifferentialFuzz(uint64_t seed, const FuzzConfig& config) {
                            "QueryEngine query " + std::to_string(queries[i]));
           }
 
-          // --- AllPairsEngine ------------------------------------------
-          AllPairsOptions aopts;
+          // --- QueryEngine::ComputeRows --------------------------------
+          QueryEngineOptions aopts;
           aopts.similarity = sims[b];
           aopts.num_threads = threads;
           aopts.tile_size = 3;  // deliberately misaligned with the batch
           aopts.result_cache = caches[b];
           aopts.snapshot_cache = &snapshots;
-          Result<AllPairsEngine> ap = AllPairsEngine::Create({vg, v}, aopts);
+          Result<QueryEngine> ap = QueryEngine::Create({vg, v}, aopts);
           ASSERT_TRUE(ap.ok()) << ap.status().ToString();
           Result<DenseMatrix> rows =
               ap.ValueOrDie().ComputeRows(measure, queries);
@@ -246,26 +245,26 @@ void RunDifferentialFuzz(uint64_t seed, const FuzzConfig& config) {
                 rows.ValueOrDie().Row(static_cast<int64_t>(i)),
                 rows.ValueOrDie().Row(static_cast<int64_t>(i)) + n);
             ExpectBitEqual(row, want.ValueOrDie()[i],
-                           "AllPairsEngine source " +
+                           "ComputeRows source " +
                                std::to_string(queries[i]));
           }
 
-          // --- TopKEngine ----------------------------------------------
-          TopKEngineOptions topts;
+          // --- QueryEngine::BatchTopK ----------------------------------
+          QueryEngineOptions topts;
           topts.similarity = sims[b];
           topts.similarity.top_k = 3;
           topts.num_threads = threads;
           topts.snapshot_cache = &snapshots;
-          Result<TopKEngine> tk = TopKEngine::Create({vg, v}, topts);
+          Result<QueryEngine> tk = QueryEngine::Create({vg, v}, topts);
           ASSERT_TRUE(tk.ok()) << tk.status().ToString();
           Result<std::vector<TopKResult>> tk_got =
               tk.ValueOrDie().BatchTopK(measure, queries);
           ASSERT_TRUE(tk_got.ok());
 
-          TopKEngineOptions cold_topts = topts;
+          QueryEngineOptions cold_topts = topts;
           cold_topts.snapshot_cache = &fresh;
-          Result<TopKEngine> tk_cold =
-              TopKEngine::Create(rebuilt, cold_topts);
+          Result<QueryEngine> tk_cold =
+              QueryEngine::Create(rebuilt, cold_topts);
           ASSERT_TRUE(tk_cold.ok());
           Result<std::vector<TopKResult>> tk_want =
               tk_cold.ValueOrDie().BatchTopK(measure, queries);

@@ -1,7 +1,7 @@
 // Property / metamorphic tests for the serving layer over random graphs:
 //  * scores lie in [0, 1] for every measure;
 //  * the SimRank* semantics are symmetric: S(a,b) == S(b,a);
-//  * AllPairsEngine row i is bit-identical to the QueryEngine single-source
+//  * ComputeRows row i is bit-identical to the BatchScores single-source
 //    result for i, for any tile size and thread count;
 //  * cache-hit answers are bit-identical to cold answers, including across
 //    engines sharing one cache;
@@ -11,9 +11,10 @@
 
 #include <numeric>
 
-#include "srs/engine/all_pairs_engine.h"
 #include "srs/engine/query_engine.h"
 #include "srs/graph/generators.h"
+
+#include "rank_rows.h"
 
 namespace srs {
 namespace {
@@ -97,12 +98,11 @@ TEST(EnginePropertyTest, AllPairsRowsBitIdenticalToQueryEngine) {
       const auto want = reference.BatchScores(measure, sources).ValueOrDie();
       for (int tile : {1, 7, 64}) {
         for (int threads : {1, 4}) {
-          AllPairsOptions aopts;
+          QueryEngineOptions aopts;
           aopts.similarity = sim;
           aopts.tile_size = tile;
           aopts.num_threads = threads;
-          AllPairsEngine engine =
-              AllPairsEngine::Create(g, aopts).MoveValueOrDie();
+          QueryEngine engine = QueryEngine::Create(g, aopts).MoveValueOrDie();
           const DenseMatrix rows =
               engine.ComputeRows(measure, sources).ValueOrDie();
           ASSERT_EQ(rows.rows(), static_cast<int64_t>(sources.size()));
@@ -152,9 +152,10 @@ TEST(EnginePropertyTest, CachedAnswersBitIdenticalToColdAnswers) {
 }
 
 TEST(EnginePropertyTest, CacheIsSharedAcrossEnginesBitIdentically) {
-  // A QueryEngine warms the cache; an AllPairsEngine with the same options
-  // must hit it (same fingerprint × digest × query keys) and still emit
-  // bit-identical rows. Top-k over cached rows matches the cold ranking.
+  // BatchScores warms the cache; ComputeRows on another engine with the
+  // same options must hit it (same fingerprint × digest × query keys) and
+  // still emit bit-identical rows. Top-k over cached rows matches the cold
+  // ranking.
   const Graph g = Rmat(48, 260, 22).ValueOrDie();
   SimilarityOptions sim;
   sim.damping = 0.7;
@@ -171,11 +172,11 @@ TEST(EnginePropertyTest, CacheIsSharedAcrossEnginesBitIdentically) {
           .ValueOrDie();
   const uint64_t misses_after_warm = cache->Stats().misses;
 
-  AllPairsOptions aopts;
+  QueryEngineOptions aopts;
   aopts.similarity = sim;
   aopts.tile_size = 16;
   aopts.result_cache = cache;
-  AllPairsEngine ape = AllPairsEngine::Create(g, aopts).MoveValueOrDie();
+  QueryEngine ape = QueryEngine::Create(g, aopts).MoveValueOrDie();
   const DenseMatrix rows =
       ape.ComputeRows(QueryMeasure::kSimRankStarGeometric, sources)
           .ValueOrDie();
@@ -187,13 +188,13 @@ TEST(EnginePropertyTest, CacheIsSharedAcrossEnginesBitIdentically) {
     }
   }
 
+  QueryEngine cold = QueryEngine::Create(g, QueryEngineOptions{sim})
+                         .MoveValueOrDie();
   const auto cold_topk =
-      QueryEngine::Create(g, QueryEngineOptions{sim})
-          .ValueOrDie()
-          .BatchTopK(QueryMeasure::kSimRankStarGeometric, sources, 5)
+      RankRows(cold, QueryMeasure::kSimRankStarGeometric, sources, 5)
           .ValueOrDie();
   const auto cached_topk =
-      qe.BatchTopK(QueryMeasure::kSimRankStarGeometric, sources, 5)
+      RankRows(qe, QueryMeasure::kSimRankStarGeometric, sources, 5)
           .ValueOrDie();
   for (size_t i = 0; i < sources.size(); ++i) {
     ASSERT_EQ(cached_topk[i].size(), cold_topk[i].size());
@@ -206,10 +207,10 @@ TEST(EnginePropertyTest, CacheIsSharedAcrossEnginesBitIdentically) {
 
 TEST(EnginePropertyTest, ForEachRowStreamsInSourceOrderWithDuplicates) {
   const Graph g = Rmat(30, 120, 23).ValueOrDie();
-  AllPairsOptions opts;
+  QueryEngineOptions opts;
   opts.similarity.iterations = 4;
   opts.tile_size = 4;
-  AllPairsEngine engine = AllPairsEngine::Create(g, opts).MoveValueOrDie();
+  QueryEngine engine = QueryEngine::Create(g, opts).MoveValueOrDie();
   const std::vector<NodeId> sources = {5, 1, 5, 29, 0, 1, 5};
   std::vector<int64_t> seen_indices;
   std::vector<NodeId> seen_sources;
@@ -228,24 +229,24 @@ TEST(EnginePropertyTest, ForEachRowStreamsInSourceOrderWithDuplicates) {
 
 TEST(EnginePropertyTest, AllPairsValidatesSources) {
   const Graph g = PathGraph(5).ValueOrDie();
-  AllPairsEngine engine = AllPairsEngine::Create(g).MoveValueOrDie();
+  QueryEngine engine = QueryEngine::Create(g).MoveValueOrDie();
   EXPECT_EQ(engine.ComputeRows(QueryMeasure::kRwr, {}).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.ComputeRows(QueryMeasure::kRwr, {0, 5}).status().code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(engine.ComputeRows(QueryMeasure::kRwr, {-1}).status().code(),
             StatusCode::kOutOfRange);
-  AllPairsOptions bad;
+  QueryEngineOptions bad;
   bad.similarity.damping = -1.0;
-  EXPECT_EQ(AllPairsEngine::Create(g, bad).status().code(),
+  EXPECT_EQ(QueryEngine::Create(g, bad).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(EnginePropertyTest, ComputeAllPairsMatchesExplicitSourceSet) {
   const Graph g = Rmat(25, 100, 24).ValueOrDie();
-  AllPairsOptions opts;
+  QueryEngineOptions opts;
   opts.similarity.iterations = 5;
-  AllPairsEngine engine = AllPairsEngine::Create(g, opts).MoveValueOrDie();
+  QueryEngine engine = QueryEngine::Create(g, opts).MoveValueOrDie();
   const DenseMatrix full =
       engine.ComputeAllPairs(QueryMeasure::kSimRankStarGeometric)
           .ValueOrDie();

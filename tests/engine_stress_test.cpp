@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "srs/engine/all_pairs_engine.h"
 #include "srs/engine/query_engine.h"
 #include "srs/graph/generators.h"
 
@@ -146,18 +145,17 @@ TEST(EngineStressTest, ManyEnginesOneSharedCacheStayBitIdentical) {
   EXPECT_EQ(snapshots.Stats().entries, 1u);
 }
 
-TEST(EngineStressTest, QueryAndAllPairsEnginesInterleaveOnOneCache) {
+TEST(EngineStressTest, BatchesAndRowStreamsInterleaveOnOneCache) {
   const Graph g = Rmat(48, 240, 43).ValueOrDie();
   SimilarityOptions sim;
   sim.damping = 0.7;
   sim.iterations = 4;
   auto cache = std::make_shared<ResultCache>();
   SnapshotCache snapshots;
-  AllPairsOptions ref_opts;
+  QueryEngineOptions ref_opts;
   ref_opts.similarity = sim;
   ref_opts.snapshot_cache = &snapshots;
-  AllPairsEngine reference =
-      AllPairsEngine::Create(g, ref_opts).MoveValueOrDie();
+  QueryEngine reference = QueryEngine::Create(g, ref_opts).MoveValueOrDie();
   const DenseMatrix want =
       reference.ComputeAllPairs(QueryMeasure::kRwr).ValueOrDie();
 
@@ -168,14 +166,13 @@ TEST(EngineStressTest, QueryAndAllPairsEnginesInterleaveOnOneCache) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       if (t % 2 == 0) {
-        AllPairsOptions opts;
+        QueryEngineOptions opts;
         opts.similarity = sim;
         opts.tile_size = 8;
         opts.num_threads = 1;
         opts.result_cache = cache;
         opts.snapshot_cache = &snapshots;
-        AllPairsEngine engine =
-            AllPairsEngine::Create(g, opts).MoveValueOrDie();
+        QueryEngine engine = QueryEngine::Create(g, opts).MoveValueOrDie();
         for (int round = 0; round < 4; ++round) {
           SRS_CHECK_OK(engine.ForEachRow(
               QueryMeasure::kRwr,

@@ -68,7 +68,7 @@ if(NOT sparse_out STREQUAL topk_out)
 endif()
 
 # --- Run 4: top-k early termination pinned across backends. ----------------
-# Accuracy-driven K (epsilon) is the regime where the TopKEngine's
+# Accuracy-driven K (epsilon) is the regime where BatchTopK's
 # bound-based early termination actually fires; its decisions depend only
 # on the partial scores, which the sparse backend reproduces bitwise at
 # epsilon 0 — so dense and sparse stdout must be byte-identical, and both

@@ -1,7 +1,8 @@
 // Property tests for the pluggable kernel backends (core/kernel_backend.h):
 //  * at prune_epsilon = 0 the sparse frontier backend is BITWISE identical
 //    to the dense reference, across random graphs, all three measures, and
-//    multiple thread counts — through both QueryEngine and AllPairsEngine;
+//    multiple thread counts — through QueryEngine's batches and its tiled
+//    row streams;
 //  * at prune_epsilon > 0 it deviates by at most the analytic ∞-norm bound
 //    derived from the epsilon, the series weights, and the transition
 //    matrices' row sums;
@@ -16,7 +17,6 @@
 #include <numeric>
 
 #include "srs/core/single_source_kernel.h"
-#include "srs/engine/all_pairs_engine.h"
 #include "srs/engine/query_engine.h"
 #include "srs/engine/snapshot.h"
 #include "srs/graph/generators.h"
@@ -154,12 +154,12 @@ TEST(KernelBackendTest, AllPairsSparseRowsBitIdenticalAtZeroEpsilon) {
   for (QueryMeasure measure : kAllMeasures) {
     const auto want = reference.BatchScores(measure, sources).ValueOrDie();
     for (int tile : {3, 32}) {
-      AllPairsOptions aopts;
+      QueryEngineOptions aopts;
       aopts.similarity = sim;
       aopts.similarity.backend = KernelBackendKind::kSparse;
       aopts.tile_size = tile;
       aopts.num_threads = 2;
-      AllPairsEngine engine = AllPairsEngine::Create(g, aopts).MoveValueOrDie();
+      QueryEngine engine = QueryEngine::Create(g, aopts).MoveValueOrDie();
       const DenseMatrix rows = engine.ComputeRows(measure, sources).ValueOrDie();
       for (size_t i = 0; i < sources.size(); ++i) {
         for (int64_t v = 0; v < g.NumNodes(); ++v) {

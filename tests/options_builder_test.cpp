@@ -122,15 +122,6 @@ TEST(OptionsBuilderTest, NumNodesBoundCapsTopK) {
       SimilarityOptionsBuilder().TopK(0).NumNodesBound(9).Build().ok());
 }
 
-TEST(OptionsBuilderTest, RequireTopKRejectsFullRowConfig) {
-  EXPECT_TRUE(SimilarityOptionsBuilder().RequireTopK().TopK(1).Build().ok());
-  const Status status =
-      SimilarityOptionsBuilder().RequireTopK().Build().status();
-  EXPECT_TRUE(status.IsInvalidArgument());
-  EXPECT_NE(status.message().find("similarity.top_k"), std::string::npos)
-      << status.ToString();
-}
-
 TEST(OptionsBuilderTest, ValidateMethodDelegatesToTheOneValidator) {
   SimilarityOptions options;
   options.damping = -0.2;

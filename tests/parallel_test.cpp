@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 
 #include "srs/baselines/simrank_psum.h"
 #include "srs/core/memo_gsr_star.h"
@@ -76,6 +77,26 @@ TEST(ThreadPoolTest, EmptyRangeIsNoop) {
   bool called = false;
   pool.ParallelForIndexed(7, 7, [&](int64_t, int) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST(ThreadPoolTest, SingleItemRunsInlineAsWorkerZero) {
+  // A one-item dispatch must not wake the pool: it runs on the calling
+  // thread, as worker 0, every time.
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    std::thread::id ran_on;
+    int ran_as = -1;
+    int calls = 0;
+    pool.ParallelForIndexed(5, 6, [&](int64_t i, int worker) {
+      EXPECT_EQ(i, 5);
+      ran_on = std::this_thread::get_id();
+      ran_as = worker;
+      ++calls;
+    });
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(ran_on, std::this_thread::get_id()) << "round " << round;
+    EXPECT_EQ(ran_as, 0) << "round " << round;
+  }
 }
 
 TEST(ThreadPoolTest, NonPositiveThreadCountUsesHardware) {

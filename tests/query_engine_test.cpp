@@ -1,7 +1,8 @@
 // Tests for the batched query engine: batch results must be bit-identical
 // to the sequential single-source entry points for every measure and any
-// thread count, top-k must agree with the full-sort ranking, and malformed
-// batches must fail with the proper Status.
+// thread count, bounded-heap top-k over the rows must agree with the
+// full-sort ranking, and malformed batches must fail with the proper
+// Status.
 
 #include "srs/engine/query_engine.h"
 
@@ -12,6 +13,8 @@
 #include "srs/core/single_source.h"
 #include "srs/graph/generators.h"
 #include "srs/graph/graph_builder.h"
+
+#include "rank_rows.h"
 
 namespace srs {
 namespace {
@@ -106,7 +109,7 @@ TEST(QueryEngineTest, TopKAgreesWithFullSortRanking) {
   const std::vector<NodeId> batch = AllNodes(g);
   for (size_t k : {size_t{1}, size_t{5}, size_t{64}, size_t{1000}}) {
     const auto rankings =
-        engine.BatchTopK(QueryMeasure::kSimRankStarGeometric, batch, k)
+        RankRows(engine, QueryMeasure::kSimRankStarGeometric, batch, k)
             .ValueOrDie();
     const auto scores =
         engine.BatchScores(QueryMeasure::kSimRankStarGeometric, batch)
@@ -128,7 +131,7 @@ TEST(QueryEngineTest, EmptyBatchIsInvalidArgument) {
   QueryEngine engine = QueryEngine::Create(g).MoveValueOrDie();
   EXPECT_EQ(engine.BatchScores(QueryMeasure::kRwr, {}).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.BatchTopK(QueryMeasure::kRwr, {}, 3).status().code(),
+  EXPECT_EQ(RankRows(engine, QueryMeasure::kRwr, {}, 3).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -144,7 +147,7 @@ TEST(QueryEngineTest, OutOfRangeQueryIsRejectedWithoutPartialResults) {
                 .code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(
-      engine.BatchTopK(QueryMeasure::kRwr, {2, 99}, 3).status().code(),
+      RankRows(engine, QueryMeasure::kRwr, {2, 99}, 3).status().code(),
       StatusCode::kOutOfRange);
 }
 
@@ -181,7 +184,7 @@ TEST(QueryEngineTest, TopKExcludesQueryAndHonorsTies) {
   eopts.similarity = Opts(0.6, 8);
   QueryEngine engine = QueryEngine::Create(g, eopts).MoveValueOrDie();
   const auto rankings =
-      engine.BatchTopK(QueryMeasure::kSimRankStarGeometric, {1}, 4)
+      RankRows(engine, QueryMeasure::kSimRankStarGeometric, {1}, 4)
           .ValueOrDie();
   ASSERT_EQ(rankings.size(), 1u);
   ASSERT_EQ(rankings[0].size(), 4u);  // everything but the query

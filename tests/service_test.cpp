@@ -1,5 +1,5 @@
 // Tests for the SrsService facade (engine/service.h): answers must be
-// bit-identical to driving the underlying engines directly with the same
+// bit-identical to driving the underlying engine directly with the same
 // options; versions are served correctly across ApplyDelta; warm engines
 // are reused; deadlines and bad requests fail with the right codes.
 
@@ -62,7 +62,7 @@ TEST(ServiceTest, FullRowsMatchQueryEngineBitForBit) {
   }
 }
 
-TEST(ServiceTest, RankedMatchesTopKEngineBitForBit) {
+TEST(ServiceTest, RankedMatchesBatchTopKBitForBit) {
   const Graph g = Rmat(200, 800, 11).ValueOrDie();
   SimilarityOptions sim;
   sim.damping = 0.6;
@@ -76,9 +76,9 @@ TEST(ServiceTest, RankedMatchesTopKEngineBitForBit) {
   const QueryResponse response = service->Query(request).ValueOrDie();
   ASSERT_TRUE(response.ranked);
 
-  TopKEngineOptions engine_options;
+  QueryEngineOptions engine_options;
   engine_options.similarity = sim;
-  TopKEngine engine = TopKEngine::Create(g, engine_options).MoveValueOrDie();
+  QueryEngine engine = QueryEngine::Create(g, engine_options).MoveValueOrDie();
   const std::vector<TopKResult> direct =
       engine.BatchTopK(QueryMeasure::kSimRankStarGeometric, request.sources)
           .ValueOrDie();
@@ -277,6 +277,45 @@ TEST(ServiceTest, StreamRowsCallbackMayReenterTheService) {
                        })
           .ok());
   EXPECT_EQ(rows_seen, 3);
+}
+
+TEST(ServiceTest, StreamRowsCallbackMayStartAnotherStream) {
+  // A callback that opens a second stream with the same options resolves
+  // the warm engine its own outer stream is still using; the inner stream
+  // must run on a private engine instead of waiting on itself.
+  // (Regression: this deadlocked at the first outer row; the ctest TIMEOUT
+  // on service_test turns a relapse into a failure rather than a hang.)
+  const Graph g = Fig1CitationGraph();
+  std::unique_ptr<SrsService> service = MakeService(g);
+  QueryRequest outer;
+  outer.sources = {0, 1};
+  QueryRequest inner;
+  inner.sources = {0};
+  std::vector<double> row_of_0;
+  int outer_rows = 0;
+  int inner_rows = 0;
+  ASSERT_TRUE(
+      service
+          ->StreamRows(
+              outer,
+              [&](int64_t, NodeId source, const std::vector<double>& row) {
+                ++outer_rows;
+                if (source == 0) row_of_0 = row;
+                ASSERT_TRUE(
+                    service
+                        ->StreamRows(inner,
+                                     [&](int64_t, NodeId,
+                                         const std::vector<double>& got) {
+                                       ++inner_rows;
+                                       EXPECT_EQ(got, row_of_0);
+                                     })
+                        .ok());
+              })
+          .ok());
+  EXPECT_EQ(outer_rows, 2);
+  EXPECT_EQ(inner_rows, 2);
+  // The private engines never entered the LRU: one warm stream engine.
+  EXPECT_EQ(service->WarmEngineCount(), 1u);
 }
 
 TEST(ServiceTest, RecoverIsBitIdenticalToTheUncrashedService) {

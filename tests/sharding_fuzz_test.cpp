@@ -1,9 +1,10 @@
 // Differential fuzz harness for the sharding subsystem (shard/): random
 // graphs × shard counts × partitioners, asserting that at prune_epsilon =
 // 0 the ShardCoordinator's answers are **bit-identical** to the unsharded
-// engines' — full score rows against QueryEngine (dense AND sparse
-// backends) and top-k rankings with their termination diagnostics against
-// TopKEngine — across all three measures. On top of the identity sweep:
+// engine's — full score rows against QueryEngine::BatchScores (dense AND
+// sparse backends) and top-k rankings with their termination diagnostics
+// against QueryEngine::BatchTopK — across all three measures. On top of
+// the identity sweep:
 //
 //  * shard-pruning soundness — on a two-community graph whose far shard
 //    provably cannot place a candidate, the aged-bound prunes must fire
@@ -151,11 +152,11 @@ void RunShardingIdentityFuzz(uint64_t seed, const FuzzConfig& config) {
             QueryEngine::Create(g, qopts).MoveValueOrDie();
         want_rows[b] = engine.BatchScores(measure, queries).ValueOrDie();
 
-        TopKEngineOptions topts;
+        QueryEngineOptions topts;
         topts.similarity = sims[b];
         topts.similarity.top_k = 3;
         topts.snapshot_cache = &snapshots;
-        TopKEngine topk = TopKEngine::Create(g, topts).MoveValueOrDie();
+        QueryEngine topk = QueryEngine::Create(g, topts).MoveValueOrDie();
         want_topk[b] = topk.BatchTopK(measure, queries).ValueOrDie();
       }
 
@@ -249,10 +250,10 @@ TEST(ShardingFuzzTest, FastPruningSoundness) {
       ShardedGraph::Create(snap, 2, UniformRangePartitioner());
   ASSERT_EQ(sharded->slice(0).range.end, kCommunity);
 
-  TopKEngineOptions topts;
+  QueryEngineOptions topts;
   topts.similarity = sim;
   topts.snapshot_cache = &snapshots;
-  TopKEngine engine = TopKEngine::Create(g, topts).MoveValueOrDie();
+  QueryEngine engine = QueryEngine::Create(g, topts).MoveValueOrDie();
 
   ShardCoordinatorOptions copts;
   copts.similarity = sim;

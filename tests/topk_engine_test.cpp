@@ -1,4 +1,5 @@
-// Correctness of the top-k retrieval engine (engine/topk_engine.h):
+// Correctness of top-k retrieval, QueryEngine::BatchTopK
+// (engine/query_engine.h):
 //  * exactness — the top-k set AND order equal the sorted full row
 //    (RankedBefore: higher score first, ties by ascending node id) across
 //    the random-graph corpus × all three measures × both kernel backends
@@ -21,6 +22,8 @@
 #include "srs/core/topk.h"
 #include "srs/engine/query_engine.h"
 #include "srs/graph/generators.h"
+
+#include "rank_rows.h"
 
 namespace srs {
 namespace {
@@ -55,7 +58,7 @@ SimilarityOptions BaseOptions() {
   return sim;
 }
 
-TEST(TopKEngineTest, ExactSetAndOrderAcrossCorpus) {
+TEST(BatchTopKTest, ExactSetAndOrderAcrossCorpus) {
   for (const Graph& g : RandomCorpus()) {
     const std::vector<NodeId> batch = AllNodes(g);
     // Full-accuracy reference rows from the dense QueryEngine.
@@ -68,12 +71,12 @@ TEST(TopKEngineTest, ExactSetAndOrderAcrossCorpus) {
            {KernelBackendKind::kDense, KernelBackendKind::kSparse}) {
         for (int threads : {1, 4}) {
           for (int k : {1, 3, 10, static_cast<int>(g.NumNodes())}) {
-            TopKEngineOptions opts;
+            QueryEngineOptions opts;
             opts.similarity = BaseOptions();
             opts.similarity.backend = backend;
             opts.similarity.top_k = k;
             opts.num_threads = threads;
-            TopKEngine engine = TopKEngine::Create(g, opts).MoveValueOrDie();
+            QueryEngine engine = QueryEngine::Create(g, opts).MoveValueOrDie();
             const auto results = engine.BatchTopK(measure, batch).ValueOrDie();
             for (size_t i = 0; i < batch.size(); ++i) {
               const TopKResult& got = results[i];
@@ -108,19 +111,19 @@ TEST(TopKEngineTest, ExactSetAndOrderAcrossCorpus) {
   }
 }
 
-TEST(TopKEngineTest, DisabledEarlyTerminationIsBitwiseFullRowSort) {
+TEST(BatchTopKTest, DisabledEarlyTerminationIsBitwiseFullRowSort) {
   for (const Graph& g : RandomCorpus()) {
     const std::vector<NodeId> batch = AllNodes(g);
     QueryEngineOptions ref_opts;
     ref_opts.similarity = BaseOptions();
     QueryEngine reference = QueryEngine::Create(g, ref_opts).MoveValueOrDie();
-    TopKEngineOptions opts;
+    QueryEngineOptions opts;
     opts.similarity = BaseOptions();
     opts.similarity.top_k = 5;
     opts.similarity.topk_early_termination = false;
-    TopKEngine engine = TopKEngine::Create(g, opts).MoveValueOrDie();
+    QueryEngine engine = QueryEngine::Create(g, opts).MoveValueOrDie();
     for (QueryMeasure measure : kAllMeasures) {
-      const auto want = reference.BatchTopK(measure, batch, 5).ValueOrDie();
+      const auto want = RankRows(reference, measure, batch, 5).ValueOrDie();
       const auto got = engine.BatchTopK(measure, batch).ValueOrDie();
       for (size_t i = 0; i < batch.size(); ++i) {
         ASSERT_EQ(got[i].ranking.size(), want[i].size());
@@ -139,15 +142,15 @@ TEST(TopKEngineTest, DisabledEarlyTerminationIsBitwiseFullRowSort) {
   }
 }
 
-TEST(TopKEngineTest, EarlyTerminationActuallyFires) {
+TEST(BatchTopKTest, EarlyTerminationActuallyFires) {
   // On a mid-sized random graph with accuracy-driven K, small k must
   // terminate early for at least some queries — otherwise the whole
   // subsystem is an expensive no-op and this test rots loudly.
   const Graph g = ErdosRenyi(400, 800, 99).ValueOrDie();
-  TopKEngineOptions opts;
+  QueryEngineOptions opts;
   opts.similarity = BaseOptions();
   opts.similarity.top_k = 1;
-  TopKEngine engine = TopKEngine::Create(g, opts).MoveValueOrDie();
+  QueryEngine engine = QueryEngine::Create(g, opts).MoveValueOrDie();
   const auto results =
       engine.BatchTopK(QueryMeasure::kSimRankStarGeometric, AllNodes(g))
           .ValueOrDie();
@@ -162,19 +165,19 @@ TEST(TopKEngineTest, EarlyTerminationActuallyFires) {
   EXPECT_GT(early, 0);
 }
 
-TEST(TopKEngineTest, CachedAnswersBitIdenticalToCold) {
+TEST(BatchTopKTest, CachedAnswersBitIdenticalToCold) {
   const Graph g = Rmat(60, 360, 11).ValueOrDie();
   const std::vector<NodeId> batch = AllNodes(g);
   for (QueryMeasure measure : kAllMeasures) {
-    TopKEngineOptions cold_opts;
+    QueryEngineOptions cold_opts;
     cold_opts.similarity = BaseOptions();
     cold_opts.similarity.top_k = 4;
-    TopKEngine cold = TopKEngine::Create(g, cold_opts).MoveValueOrDie();
+    QueryEngine cold = QueryEngine::Create(g, cold_opts).MoveValueOrDie();
     const auto want = cold.BatchTopK(measure, batch).ValueOrDie();
 
-    TopKEngineOptions cached_opts = cold_opts;
+    QueryEngineOptions cached_opts = cold_opts;
     cached_opts.result_cache = std::make_shared<ResultCache>();
-    TopKEngine cached = TopKEngine::Create(g, cached_opts).MoveValueOrDie();
+    QueryEngine cached = QueryEngine::Create(g, cached_opts).MoveValueOrDie();
     cached.BatchTopK(measure, batch).ValueOrDie();  // warm
     const auto got = cached.BatchTopK(measure, batch).ValueOrDie();  // hits
     ASSERT_GT(cached_opts.result_cache->Stats().hits, uint64_t{0});
@@ -195,20 +198,20 @@ TEST(TopKEngineTest, CachedAnswersBitIdenticalToCold) {
   }
 }
 
-TEST(TopKEngineTest, SharedCacheNeverAliasesTopKAndFullRows) {
-  // Warm one shared cache through the TopKEngine, then serve full rows
-  // from a QueryEngine on the same cache (and vice versa): both must be
+TEST(BatchTopKTest, SharedCacheNeverAliasesTopKAndFullRows) {
+  // Warm one shared cache through a top-k engine, then serve full rows
+  // from a full-row engine on the same cache (and vice versa): both must be
   // bit-identical to cold runs — the digests keep the two value shapes
   // apart.
   const Graph g = Rmat(50, 300, 31).ValueOrDie();
   const std::vector<NodeId> batch = AllNodes(g);
   auto cache = std::make_shared<ResultCache>();
 
-  TopKEngineOptions topk_opts;
+  QueryEngineOptions topk_opts;
   topk_opts.similarity = BaseOptions();
   topk_opts.similarity.top_k = 5;
   topk_opts.result_cache = cache;
-  TopKEngine topk = TopKEngine::Create(g, topk_opts).MoveValueOrDie();
+  QueryEngine topk = QueryEngine::Create(g, topk_opts).MoveValueOrDie();
   const auto topk_warm =
       topk.BatchTopK(QueryMeasure::kSimRankStarGeometric, batch).ValueOrDie();
 
@@ -242,7 +245,44 @@ TEST(TopKEngineTest, SharedCacheNeverAliasesTopKAndFullRows) {
   }
 }
 
-TEST(TopKEngineTest, DigestsSeparateTopKConfigurations) {
+TEST(BatchTopKTest, OneEngineServesRowsAndRankingsOnOneCache) {
+  // An engine created with top_k >= 1 serves full rows under the canonical
+  // full-row key: its rows hit the entries a top_k = 0 engine warmed,
+  // while its rankings stay apart from them.
+  const Graph g = Rmat(50, 300, 31).ValueOrDie();
+  const std::vector<NodeId> batch = AllNodes(g);
+  auto cache = std::make_shared<ResultCache>();
+  QueryEngineOptions rows_opts;
+  rows_opts.similarity = BaseOptions();
+  rows_opts.result_cache = cache;
+  QueryEngine rows = QueryEngine::Create(g, rows_opts).MoveValueOrDie();
+  const auto want =
+      rows.BatchScores(QueryMeasure::kSimRankStarGeometric, batch)
+          .ValueOrDie();
+
+  QueryEngineOptions both_opts = rows_opts;
+  both_opts.similarity.top_k = 5;
+  QueryEngine both = QueryEngine::Create(g, both_opts).MoveValueOrDie();
+  const uint64_t misses = cache->Stats().misses;
+  const auto got =
+      both.BatchScores(QueryMeasure::kSimRankStarGeometric, batch)
+          .ValueOrDie();
+  EXPECT_EQ(cache->Stats().misses, misses) << "rows must all hit";
+  const auto ranked =
+      both.BatchTopK(QueryMeasure::kSimRankStarGeometric, batch)
+          .ValueOrDie();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "query " << batch[i];
+    EXPECT_FALSE(ranked[i].served_from_cache) << "query " << batch[i];
+    const auto expected = TopK(want[i], 5, batch[i]);
+    ASSERT_EQ(ranked[i].ranking.size(), expected.size());
+    for (size_t r = 0; r < expected.size(); ++r) {
+      EXPECT_EQ(ranked[i].ranking[r].node, expected[r].node);
+    }
+  }
+}
+
+TEST(BatchTopKTest, DigestsSeparateTopKConfigurations) {
   SimilarityOptions full = BaseOptions();
   SimilarityOptions top5 = full;
   top5.top_k = 5;
@@ -262,16 +302,19 @@ TEST(TopKEngineTest, DigestsSeparateTopKConfigurations) {
   EXPECT_EQ(ResultDigest(full, 0), ResultDigest(full_flagged, 0));
 }
 
-TEST(TopKEngineTest, ValidatesOptionsAndBatch) {
+TEST(BatchTopKTest, ValidatesOptionsAndBatch) {
   const Graph g = PathGraph(6).ValueOrDie();
-  TopKEngineOptions opts;
-  EXPECT_EQ(TopKEngine::Create(g, opts).status().code(),
-            StatusCode::kInvalidArgument);  // top_k defaults to 0
+  QueryEngineOptions opts;
+  QueryEngine unranked = QueryEngine::Create(g, opts).MoveValueOrDie();
+  const Status no_k = unranked.BatchTopK(QueryMeasure::kRwr, {0}).status();
+  EXPECT_EQ(no_k.code(), StatusCode::kInvalidArgument);  // top_k defaults to 0
+  EXPECT_NE(no_k.message().find("similarity.top_k"), std::string::npos)
+      << no_k.ToString();
   opts.similarity.top_k = -3;
-  EXPECT_EQ(TopKEngine::Create(g, opts).status().code(),
+  EXPECT_EQ(QueryEngine::Create(g, opts).status().code(),
             StatusCode::kInvalidArgument);
   opts.similarity.top_k = 2;
-  TopKEngine engine = TopKEngine::Create(g, opts).MoveValueOrDie();
+  QueryEngine engine = QueryEngine::Create(g, opts).MoveValueOrDie();
   EXPECT_EQ(engine.BatchTopK(QueryMeasure::kRwr, {}).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.BatchTopK(QueryMeasure::kRwr, {99}).status().code(),
@@ -279,12 +322,12 @@ TEST(TopKEngineTest, ValidatesOptionsAndBatch) {
 
   // A k beyond n − 1 is served clamped: every other node, exactly ranked.
   opts.similarity.top_k = 100;
-  TopKEngine big = TopKEngine::Create(g, opts).MoveValueOrDie();
+  QueryEngine big = QueryEngine::Create(g, opts).MoveValueOrDie();
   const auto results = big.BatchTopK(QueryMeasure::kRwr, {0}).ValueOrDie();
   EXPECT_EQ(results[0].ranking.size(), static_cast<size_t>(g.NumNodes() - 1));
 }
 
-TEST(TopKEngineTest, EncodeDecodeRoundTripsExactly) {
+TEST(BatchTopKTest, EncodeDecodeRoundTripsExactly) {
   TopKResult result;
   result.ranking = {{7, 0.5}, {3, 0.25}, {9, 0.25}};
   result.levels_evaluated = 13;

@@ -12,13 +12,13 @@
 // With --query (repeatable) and/or --sources-file (one node id per line),
 // prints the top-k similar nodes per query as stable `rank<TAB>node<TAB>
 // score` lines. The single-source measures (gsr-star, esr-star, rwr) are
-// served by the TopKEngine: the graph snapshot is normalized once, the
-// batch fans out across --threads pooled workers, and each query's level
-// recurrence stops as soon as the analytic residual bounds prove its
+// served by QueryEngine::BatchTopK: the graph snapshot is normalized once,
+// the batch fans out across --threads pooled workers, and each query's
+// level recurrence stops as soon as the analytic residual bounds prove its
 // top-k (exact set and order; scores are then lower-bound partials —
-// engine/topk_engine.h). --topk must lie in [1, n] whenever point queries
+// engine/query_engine.h). --topk must lie in [1, n] whenever point queries
 // are made. With --all-pairs, the engine measures stream the score matrix
-// tile by tile through the AllPairsEngine (rows restricted to
+// tile by tile through QueryEngine::ForEachRow (rows restricted to
 // --sources-file when given, the whole graph otherwise); simrank/prank
 // fall back to their dense all-pairs algorithms. --backend selects the
 // kernel backend for the engine measures: "dense" (bit-exact reference) or
@@ -50,17 +50,15 @@
 //   srs_query --graph cit.txt --apply-delta day1.delta --apply-delta \
 //             day2.delta --query 42 --topk 10
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <system_error>
 
+#include "cli_flags.h"
 #include "srs/baselines/p_rank.h"
 #include "srs/baselines/rwr.h"
 #include "srs/baselines/simrank_psum.h"
@@ -122,54 +120,8 @@ void Usage(const char* argv0) {
                argv0);
 }
 
-/// Parses `value` as a whole decimal integer in [min_value, max_value].
-/// Rejects — naming the flag and the offending text — anything atoi would
-/// have silently folded to 0: trailing garbage, empty values, overflow.
-bool ParseIntFlag(const char* flag, const char* value, long long min_value,
-                  long long max_value, long long* out) {
-  if (value == nullptr) {
-    std::fprintf(stderr, "%s requires a value\n", flag);
-    return false;
-  }
-  const char* end = value + std::strlen(value);
-  long long parsed = 0;
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "%s: expected an integer, got '%s'\n", flag, value);
-    return false;
-  }
-  if (parsed < min_value || parsed > max_value) {
-    std::fprintf(stderr, "%s: %lld out of range [%lld, %lld]\n", flag,
-                 parsed, min_value, max_value);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseIntFlag(const char* flag, const char* value, long long min_value,
-                  long long max_value, int* out) {
-  long long wide = 0;
-  if (!ParseIntFlag(flag, value, min_value, max_value, &wide)) return false;
-  *out = static_cast<int>(wide);
-  return true;
-}
-
-bool ParseDoubleFlag(const char* flag, const char* value, double* out) {
-  if (value == nullptr) {
-    std::fprintf(stderr, "%s requires a value\n", flag);
-    return false;
-  }
-  const char* end = value + std::strlen(value);
-  double parsed = 0.0;
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag, value);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
+using srs::cli::ParseDoubleFlag;
+using srs::cli::ParseIntFlag;
 
 bool ParseCli(int argc, char** argv, CliOptions* options) {
   for (int i = 1; i < argc; ++i) {
@@ -361,7 +313,7 @@ srs::Result<srs::DenseMatrix> ComputeDenseAllPairs(const srs::Graph& g,
 
 /// Top-k answers for every query in `batch`, in batch order. The engine
 /// measures are served through the SrsService facade (one ranked
-/// QueryRequest; the TopKEngine's bound-based early termination underneath,
+/// QueryRequest; BatchTopK's bound-based early termination underneath,
 /// the requested --version through an incrementally patched snapshot);
 /// mc-star and the matrix-based measures fall back to per-query full-row
 /// evaluation and report no termination diagnostics (levels_total == 0).
@@ -420,9 +372,9 @@ srs::Result<std::vector<srs::TopKResult>> ComputeBatchTopK(
 }
 
 /// Writes sieved scores for `sources` (or every node when empty) as TSV.
-/// Engine measures stream tiles through the service's row serving (the
-/// AllPairsEngine underneath); the dense baselines materialize their
-/// matrix first.
+/// Engine measures stream tiles through the service's row serving
+/// (QueryEngine::ForEachRow underneath); the dense baselines materialize
+/// their matrix first.
 srs::Status WriteAllPairs(const srs::Graph& g, srs::SrsService* service,
                           uint64_t version,
                           const std::vector<srs::NodeId>& sources,
@@ -704,7 +656,7 @@ int main(int argc, char** argv) {
   if (options.stats) {
     // Everything below comes from the global metrics registry — the same
     // single source of truth srs_serve's "stats" op and /metrics endpoint
-    // read. TopKEngine records the per-query termination levels
+    // read. BatchTopK records the per-query termination levels
     // (cache-served answers excluded, so the tally describes work this
     // run actually did), and the result cache registered its counters at
     // construction above.
